@@ -11,21 +11,32 @@ by a command-line flag.  Example::
     out_path = sum_rate.csv
     format = csv
 
+The three rate experiments share one runner: at each ``n`` a model is built
+and drawn in shards of ``distributions.CHUNK`` pairs, each on its own
+substream.  ``sum_rate`` is the identity-link sample-mean model (the
+normalized sum), ``samplemean_rate`` takes its link from the config, and
+``quadform_rate`` uses the banded family or a matrix file.
+
 Output rows share one schema (header comment ``# stein-fisher v1``):
 ``experiment,n,reps,seed,estimator,estimate,standard_error,
 guarded_fraction,wall_time_ms``.  Rate experiments append rows with
-estimators ``rate_fit_slope``, ``rate_fit_intercept`` and ``rate_fit_r2``.
+estimators ``rate_fit_slope``, ``rate_fit_intercept`` and ``rate_fit_r2``
+when four or more grid points have a positive estimate.
 Emitted files are byte-identical for a fixed config and seed; wall-clock
 timings therefore go to stderr and the file column stays 0 unless
 ``--timing`` is passed.  ``STEINFISHER_THREADS`` caps shard-level worker
 threads (shards merge in fixed order either way).
+
+Exit codes: 0 success; 2 a config that cannot run, with field-level JSON on
+stderr (this includes a divergent negative moment and an all-zero matrix,
+found only once the run starts); 3 an estimate the program will not report:
+guard-dominated draws, or a quadrature that missed its tolerance.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -36,8 +47,9 @@ from typing import Optional
 import numpy as np
 
 from . import distances, estimate, moments, quadform, samplemean
-from .distributions import catalog_get
-from .errors import (ConfigError, GuardDominated, NotInCatalog, ParseError,
+from .distributions import catalog_get, chunk_sizes
+from .errors import (ConfigError, DegenerateModel, GuardDominated,
+                     NotIntegrable, ParseError, QuadratureFailure,
                      SteinFisherError)
 from .streams import substream
 
@@ -46,7 +58,6 @@ CSV_COLUMNS = ("experiment", "n", "reps", "seed", "estimator", "estimate",
                "standard_error", "guarded_fraction", "wall_time_ms")
 RATE_EXPERIMENTS = ("sum_rate", "samplemean_rate", "quadform_rate")
 EXPERIMENTS = RATE_EXPERIMENTS + ("kernel_check", "negmoment", "convert")
-SHARD_SIZE = 16384
 
 
 @dataclass(frozen=True)
@@ -57,7 +68,6 @@ class ExperimentConfig:
     matrix_path: Optional[str] = None
     n_grid: tuple = ()
     reps: int = 10 ** 4
-    bins: int = 64
     seed: int = 0
     out_path: str = "results.csv"
     format: str = "csv"
@@ -100,7 +110,7 @@ def _coerce(values: dict) -> dict:
     out = dict(values)
     if "n_grid" in out and isinstance(out["n_grid"], str):
         out["n_grid"] = tuple(int(tok) for tok in out["n_grid"].split(",") if tok.strip())
-    for key in ("reps", "bins", "seed"):
+    for key in ("reps", "seed"):
         if key in out and isinstance(out[key], str):
             out[key] = int(out[key])
     for key in ("alpha", "fisher_value"):
@@ -140,16 +150,24 @@ def validate(config: ExperimentConfig) -> dict:
             problems["n_grid"] = "must be strictly increasing"
         elif any(n < 1 for n in grid):
             problems["n_grid"] = "entries must be positive"
+        elif (config.experiment == "quadform_rate"
+              and config.matrix_path is None and grid[0] < 2):
+            problems["n_grid"] = "the banded quadform family needs n >= 2"
     if config.reps < 1:
         problems["reps"] = "must be positive"
     if config.experiment in RATE_EXPERIMENTS and config.reps < 10 ** 3:
         problems["reps"] = "rate experiments need reps >= 1000"
-    if config.bins < 2:
-        problems["bins"] = "need at least 2 bins"
     if not (0 <= config.seed < 2 ** 64):
         problems["seed"] = "seed must fit in 64 unsigned bits"
     if config.format not in ("csv", "json"):
         problems["format"] = "must be csv or json"
+    out_dir = os.path.dirname(config.out_path) or "."
+    if os.path.isdir(config.out_path):
+        problems["out_path"] = f"is a directory: {config.out_path}"
+    elif not os.path.isdir(out_dir):
+        problems["out_path"] = f"no such directory: {out_dir}"
+    elif not os.access(out_dir, os.W_OK):
+        problems["out_path"] = f"directory is not writable: {out_dir}"
     if config.matrix_path is not None and not os.path.exists(config.matrix_path):
         problems["matrix_path"] = f"no such file: {config.matrix_path}"
     if config.alpha <= 0:
@@ -203,22 +221,13 @@ def parse_matrix(path: str) -> quadform.CoefficientMatrix:
     return quadform.CoefficientMatrix(a)
 
 
-def _shard_sizes(reps: int):
-    sizes = [SHARD_SIZE] * (reps // SHARD_SIZE)
-    if reps % SHARD_SIZE:
-        sizes.append(reps % SHARD_SIZE)
-    return sizes
-
-
-def _run_shards(make_sample, seed: int, n: int, reps: int) -> estimate.ScoreSample:
+def _run_shards(draw, model, seed: int, n: int, reps: int) -> estimate.ScoreSample:
     """Draw shards on independent substreams and merge them in order."""
-    sizes = _shard_sizes(reps)
+    def one(job):
+        shard, size = job
+        return draw(model, substream(seed, "main", n, shard), size)
 
-    def one(shard_args):
-        shard, size = shard_args
-        return make_sample(substream(seed, "main", n, shard), size)
-
-    jobs = list(enumerate(sizes))
+    jobs = list(enumerate(chunk_sizes(reps)))
     threads = int(os.environ.get("STEINFISHER_THREADS", "1") or "1")
     if threads > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -247,67 +256,59 @@ def _rate_rows(config, upper_rows):
     ]
 
 
-def _run_sum_rate(config: ExperimentConfig):
-    dist = catalog_get(config.dist)
-    rows = []
-    for n in config.n_grid:
-        def make(stream, size, _n=n):
-            sample, _ = samplemean.linear_sum_pairs([dist] * _n, _n, stream, size)
-            return sample
-        rows.append(_upper_row(config, n, _run_shards(make, config.seed, n,
-                                                      config.reps)))
-    if len(rows) >= 4:
-        rows = rows + _rate_rows(config, rows)
-    return rows
+# Rate-experiment points: ``point(config, dist, n)`` returns the draw
+# function, the model it draws from, and any rows reported next to the
+# ``fisher_upper`` row at ``n``.  Draw functions are looked up on their
+# modules at call time.
+
+def _sum_point(config, dist, n):
+    model = samplemean.sample_mean_model(samplemean.identity_link(),
+                                         [dist] * n, n)
+    return samplemean.draw_score_pairs_sm, model, []
 
 
-def _run_samplemean_rate(config: ExperimentConfig):
-    dist = catalog_get(config.dist)
-    link = samplemean.link_by_name(config.link)
-    rows = []
-    for n in config.n_grid:
-        model = samplemean.sample_mean_model(
-            link, [dist] * n, n,
-            stream=substream(config.seed, "prepass", n),
-            prepass_reps=max(10 ** 4, config.reps),
-        )
-        def make(stream, size, _model=model):
-            return samplemean.draw_score_pairs_sm(_model, stream, size)
-        rows.append(_upper_row(config, n, _run_shards(make, config.seed, n,
-                                                      config.reps)))
-    if len(rows) >= 4:
-        rows = rows + _rate_rows(config, rows)
-    return rows
+def _samplemean_point(config, dist, n):
+    model = samplemean.sample_mean_model(
+        samplemean.link_by_name(config.link), [dist] * n, n,
+        stream=substream(config.seed, "prepass", n),
+        prepass_reps=max(10 ** 4, config.reps),
+    )
+    return samplemean.draw_score_pairs_sm, model, []
 
 
-def _run_quadform_rate(config: ExperimentConfig):
-    dist = catalog_get(config.dist)
-    matrices = {}
-    if config.matrix_path is not None:
+def _quadform_point(config, dist, n):
+    if config.matrix_path is None:
+        matrix = quadform.banded_coefficients(n)
+    else:
         matrix = parse_matrix(config.matrix_path)
         if tuple(config.n_grid) != (matrix.n,):
             raise ConfigError({"n_grid": (
                 f"with matrix_path the grid must equal ({matrix.n},)")})
-        matrices[matrix.n] = matrix
-    else:
-        for n in config.n_grid:
-            matrices[n] = quadform.banded_coefficients(n)
+    model = quadform.QuadFormModel(matrix, [dist] * n)
+    factor = ResultRow(
+        experiment=config.experiment, n=n, reps=config.reps, seed=config.seed,
+        estimator="structural_factor",
+        estimate=quadform.matrix_functionals(matrix).structural_factor,
+        standard_error=0.0, guarded_fraction=0.0)
+    return quadform.draw_score_pairs, model, [factor]
+
+
+def _run_rate(config: ExperimentConfig, point):
+    """``fisher_upper`` per grid point, then a rate fit when four or more
+    of them are positive."""
+    dist = catalog_get(config.dist)
     rows = []
     upper_rows = []
     for n in config.n_grid:
-        model = quadform.QuadFormModel(matrices[n], [dist] * n)
-        def make(stream, size, _model=model):
-            return quadform.draw_score_pairs(_model, stream, size)
-        row = _upper_row(config, n, _run_shards(make, config.seed, n, config.reps))
+        draw, model, extra_rows = point(config, dist, n)
+        row = _upper_row(config, n, _run_shards(draw, model, config.seed, n,
+                                                config.reps))
         upper_rows.append(row)
-        rows.append(row)
-        rows.append(ResultRow(
-            experiment=config.experiment, n=n, reps=config.reps,
-            seed=config.seed, estimator="structural_factor",
-            estimate=quadform.matrix_functionals(matrices[n]).structural_factor,
-            standard_error=0.0, guarded_fraction=0.0))
-    if len(upper_rows) >= 4:
-        rows += _rate_rows(config, upper_rows)
+        rows += [row] + extra_rows
+    # log-log fit: a zero estimate (an exactly Gaussian statistic) has no rate
+    positive = [row for row in upper_rows if row.estimate > 0.0]
+    if len(positive) >= 4:
+        rows += _rate_rows(config, positive)
     return rows
 
 
@@ -372,9 +373,9 @@ def _run_convert(config: ExperimentConfig):
 
 
 _RUNNERS = {
-    "sum_rate": _run_sum_rate,
-    "samplemean_rate": _run_samplemean_rate,
-    "quadform_rate": _run_quadform_rate,
+    "sum_rate": lambda config: _run_rate(config, _sum_point),
+    "samplemean_rate": lambda config: _run_rate(config, _samplemean_point),
+    "quadform_rate": lambda config: _run_rate(config, _quadform_point),
     "kernel_check": _run_kernel_check,
     "negmoment": _run_negmoment,
     "convert": _run_convert,
@@ -463,7 +464,6 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--n-grid", dest="n_grid",
                       help="comma-separated sample sizes, e.g. 8,16,32")
     runp.add_argument("--reps", type=int)
-    runp.add_argument("--bins", type=int)
     runp.add_argument("--seed", type=int)
     runp.add_argument("--out-path", dest="out_path")
     runp.add_argument("--format", choices=("csv", "json"))
@@ -497,8 +497,20 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(_error_object("config", exc.fields), file=sys.stderr)
         return 2
+    except NotIntegrable as exc:
+        print(_error_object("config", {"n_grid": str(exc)}), file=sys.stderr)
+        return 2
+    except DegenerateModel as exc:
+        print(_error_object("config", {"matrix_path": str(exc)}),
+              file=sys.stderr)
+        return 2
     except GuardDominated as exc:
         print(_error_object("guard_dominated", str(exc)), file=sys.stderr)
+        return 3
+    except QuadratureFailure as exc:
+        print(_error_object("quadrature", {"message": str(exc),
+                                           "achieved": exc.achieved}),
+              file=sys.stderr)
         return 3
     except ParseError as exc:
         print(_error_object("parse", {"message": str(exc), "line": exc.line}),

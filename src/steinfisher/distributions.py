@@ -20,6 +20,7 @@ from .errors import MomentConditionViolated, NotCentered, NotInCatalog
 from .quadrature import density_window, integrate
 
 DENSITY_FLOOR = 1e-16
+CHUNK = 16384  # draws per block in every chunked draw loop
 
 _SQRT3 = math.sqrt(3.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -279,3 +280,16 @@ def sample_columns(dists, stream, m: int) -> np.ndarray:
     for k, dist in enumerate(dists):
         out[:, k] = dist.sampler(stream, m)
     return out
+
+
+def chunk_sizes(reps: int, size: int = CHUNK) -> list:
+    """Block sizes splitting ``reps`` draws into full blocks and a remainder.
+
+    Every chunked draw (and every CLI shard) follows this split, so the
+    stream order, and with it each draw, is fixed by ``(reps, size)``.
+    """
+    reps = int(reps)
+    sizes = [size] * (reps // size)
+    if reps % size:
+        sizes.append(reps % size)
+    return sizes

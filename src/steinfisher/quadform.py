@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .distributions import sample_columns
+from .distributions import chunk_sizes, sample_columns
 from .errors import (ContractViolation, DegenerateModel, InvalidInput,
                      NotIntegrable)
 from .estimate import ScorePair, ScoreSample
@@ -147,11 +147,7 @@ class QuadFormModel:
     def theta_value(self, x) -> float:
         """Normalizer at one point, on the same scale the draws use."""
         x = np.asarray(x, dtype=float)[None, :]
-        a = self.matrix.entries
-        r = x @ a
-        tau, _ = self._tau_taup(x)
-        theta = 0.5 * float(((r ** 2) * tau).sum())
-        return theta / self.sigma2 if self.standardize else theta
+        return float(self.evaluate(x).aux[0])
 
     def theta_gradient(self, x) -> np.ndarray:
         """Closed-form gradient of :meth:`theta_value` at one point."""
@@ -163,16 +159,10 @@ class QuadFormModel:
         return grad / self.sigma2 if self.standardize else grad
 
 
-def draw_score_pairs(model: QuadFormModel, stream, reps: int,
-                     chunk: int = 16384) -> ScoreSample:
+def draw_score_pairs(model: QuadFormModel, stream, reps: int) -> ScoreSample:
     """``reps`` score pairs drawn in fixed-size chunks from one stream."""
-    blocks = []
-    remaining = int(reps)
-    while remaining > 0:
-        m = min(chunk, remaining)
-        x = sample_columns(model.dists, stream, m)
-        blocks.append(model.evaluate(x))
-        remaining -= m
+    blocks = [model.evaluate(sample_columns(model.dists, stream, m))
+              for m in chunk_sizes(reps)]
     return ScoreSample.concat(blocks)
 
 
@@ -215,8 +205,7 @@ def gaussian_negative_moment_norm(matrix: CoefficientMatrix, order: float,
 
 
 def gaussian_negative_moment_norm_mc(matrix: CoefficientMatrix, order: float,
-                                     stream, reps: int,
-                                     chunk: int = 100_000) -> float:
+                                     stream, reps: int) -> float:
     """Monte Carlo ``|| sigma^2 Theta^-1 ||_order`` over Gaussian draws.
 
     Each draw factors as radius times direction; the radial moment
@@ -231,13 +220,10 @@ def gaussian_negative_moment_norm_mc(matrix: CoefficientMatrix, order: float,
     a = matrix.entries
     log_radial = gammaln(n / 2.0 - order) - gammaln(n / 2.0)
     total = 0.0
-    remaining = int(reps)
-    while remaining > 0:
-        m = min(chunk, remaining)
+    for m in chunk_sizes(reps, 100_000):
         x = stream.standard_normal((m, n))
         u = x / np.linalg.norm(x, axis=1, keepdims=True)
         total += float((np.linalg.norm(u @ a, axis=1) ** (-2.0 * order)).sum())
-        remaining -= m
     mean = total / int(reps) * math.exp(log_radial)
     return matrix.sigma2 * mean ** (1.0 / order)
 

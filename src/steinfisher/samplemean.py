@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .distributions import sample_columns
+from .distributions import chunk_sizes, sample_columns
 from .errors import DegenerateVariance, InvalidInput
 from .estimate import ScorePair, ScoreSample
 
@@ -125,6 +125,35 @@ class SampleMeanModel:
     def n(self) -> int:
         return len(self.dists)
 
+    def evaluate(self, x: np.ndarray) -> ScoreSample:
+        """Score-pair arrays for a block of draws ``x`` of shape (m, n)."""
+        link = self.link
+        n = self.n
+        sigma = self.sigma
+        sqrt_n = math.sqrt(n)
+        xbar = x.mean(axis=1)
+        tau = np.empty_like(x)
+        taup = np.empty_like(x)
+        for k, dist in enumerate(self.dists):
+            tau[:, k] = dist.tau(x[:, k])
+            taup[:, k] = dist.tau_prime(x[:, k])
+        taubar = tau.mean(axis=1)
+        hp0 = link.h_prime_at_0
+        hp = link.h_prime(xbar)
+        f = sqrt_n * (link.h(xbar) - self.mu_h) / sigma
+        g_sum = hp0 * sqrt_n * xbar / sigma
+        nabla = hp0 * hp * taubar / sigma ** 2
+        # sum_k (d_k nabla) L_k g_k with L_k g_k = hp0 tau_k / (sigma sqrt(n))
+        d_common = hp0 * link.h_second(xbar) * taubar / n / sigma ** 2
+        second = (d_common * tau.sum(axis=1)
+                  + (hp0 * hp / n / sigma ** 2) * (taup * tau).sum(axis=1))
+        second = second * hp0 / (sigma * sqrt_n)
+        guarded = np.abs(nabla) < GUARD_NABLA
+        h = np.full_like(f, np.nan)
+        ok = ~guarded
+        h[ok] = g_sum[ok] / nabla[ok] + second[ok] / nabla[ok] ** 2
+        return ScoreSample(f=f, h=h, aux=nabla, guarded=guarded)
+
 
 def pre_pass(link: SmoothLink, dists, n: int, reps: int, stream):
     """Estimate ``(mu_h, sigma)`` with standard errors from a seed stream."""
@@ -132,13 +161,8 @@ def pre_pass(link: SmoothLink, dists, n: int, reps: int, stream):
     reps = int(reps)
     if reps < 10 ** 4:
         raise InvalidInput("pre_pass needs at least 1e4 replications")
-    hv = np.empty(reps)
-    done = 0
-    while done < reps:
-        m = min(65536, reps - done)
-        x = sample_columns(dists, stream, m)
-        hv[done:done + m] = link.h(x.mean(axis=1))
-        done += m
+    hv = np.concatenate([link.h(sample_columns(dists, stream, m).mean(axis=1))
+                         for m in chunk_sizes(reps, 65536)])
     mu = float(hv.mean())
     s2_h = float(hv.var(ddof=1))
     sigma2 = n * s2_h
@@ -190,44 +214,10 @@ def sample_mean_model(link: SmoothLink, dists, n: Optional[int] = None, *,
                            pre_pass_se=se)
 
 
-def _evaluate(model: SampleMeanModel, x: np.ndarray) -> ScoreSample:
-    link = model.link
-    n = model.n
-    sigma = model.sigma
-    sqrt_n = math.sqrt(n)
-    xbar = x.mean(axis=1)
-    tau = np.empty_like(x)
-    taup = np.empty_like(x)
-    for k, dist in enumerate(model.dists):
-        tau[:, k] = dist.tau(x[:, k])
-        taup[:, k] = dist.tau_prime(x[:, k])
-    taubar = tau.mean(axis=1)
-    hp0 = link.h_prime_at_0
-    hp = link.h_prime(xbar)
-    f = sqrt_n * (link.h(xbar) - model.mu_h) / sigma
-    g_sum = hp0 * sqrt_n * xbar / sigma
-    nabla = hp0 * hp * taubar / sigma ** 2
-    # sum_k (d_k nabla) L_k g_k with L_k g_k = hp0 tau_k / (sigma sqrt(n))
-    d_common = hp0 * link.h_second(xbar) * taubar / n / sigma ** 2
-    second = (d_common * tau.sum(axis=1)
-              + (hp0 * hp / n / sigma ** 2) * (taup * tau).sum(axis=1))
-    second = second * hp0 / (sigma * sqrt_n)
-    guarded = np.abs(nabla) < GUARD_NABLA
-    h = np.full_like(f, np.nan)
-    ok = ~guarded
-    h[ok] = g_sum[ok] / nabla[ok] + second[ok] / nabla[ok] ** 2
-    return ScoreSample(f=f, h=h, aux=nabla, guarded=guarded)
-
-
-def draw_score_pairs_sm(model: SampleMeanModel, stream, reps: int,
-                        chunk: int = 16384) -> ScoreSample:
-    blocks = []
-    remaining = int(reps)
-    while remaining > 0:
-        m = min(chunk, remaining)
-        x = sample_columns(model.dists, stream, m)
-        blocks.append(_evaluate(model, x))
-        remaining -= m
+def draw_score_pairs_sm(model: SampleMeanModel, stream, reps: int) -> ScoreSample:
+    """``reps`` score pairs drawn in fixed-size chunks from one stream."""
+    blocks = [model.evaluate(sample_columns(model.dists, stream, m))
+              for m in chunk_sizes(reps)]
     return ScoreSample.concat(blocks)
 
 
@@ -238,7 +228,7 @@ def draw_score_pair_sm(model: SampleMeanModel, stream) -> ScorePair:
 def nabla_value(model: SampleMeanModel, x) -> float:
     """Normalizer at one coordinate vector, on the standardized scale."""
     x = np.asarray(x, dtype=float)[None, :]
-    return float(_evaluate(model, x).aux[0])
+    return float(model.evaluate(x).aux[0])
 
 
 def nabla_gradient(model: SampleMeanModel, x) -> np.ndarray:
@@ -254,8 +244,7 @@ def nabla_gradient(model: SampleMeanModel, x) -> np.ndarray:
     return grad / model.sigma ** 2
 
 
-def linear_sum_pairs(dists, n: int, stream, reps: int,
-                     chunk: int = 16384):
+def linear_sum_pairs(dists, n: int, stream, reps: int):
     """Draws of the normalized sum with both score representations.
 
     Returns ``(sample, h_classic)`` where ``sample`` holds the pairs from
@@ -266,16 +255,13 @@ def linear_sum_pairs(dists, n: int, stream, reps: int,
     model = sample_mean_model(identity_link(), dists)
     blocks = []
     classic = []
-    remaining = int(reps)
-    while remaining > 0:
-        m = min(chunk, remaining)
+    for m in chunk_sizes(reps):
         x = sample_columns(dists, stream, m)
-        blocks.append(_evaluate(model, x))
+        blocks.append(model.evaluate(x))
         rho = np.empty_like(x)
         for k, dist in enumerate(dists):
             rho[:, k] = dist.log_density_derivative(x[:, k])
         classic.append(rho.sum(axis=1) / math.sqrt(n))
-        remaining -= m
     return ScoreSample.concat(blocks), np.concatenate(classic)
 
 

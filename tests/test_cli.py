@@ -4,8 +4,10 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from steinfisher.cli import (ExperimentConfig, main, parse_config_file,
+from steinfisher.cli import (EXPERIMENTS, ExperimentConfig, main,
+                             parse_config_file,
                              parse_matrix, rows_from_csv, rows_from_json,
                              rows_to_csv, rows_to_json, run, validate)
 from steinfisher.errors import ConfigError, ParseError
@@ -70,12 +72,14 @@ def test_run_rejects_bad_config(tmp_path):
 
 def test_sum_rate_gaussian_fixed_point(tmp_path):
     cfg = ExperimentConfig(experiment="sum_rate", dist="gaussian",
-                           n_grid=(8, 16), reps=10 ** 4, seed=3,
+                           n_grid=(4, 8, 16, 32), reps=10 ** 4, seed=3,
                            out_path=str(tmp_path / "g.csv"))
     rows = run(cfg)
     uppers = [r for r in rows if r.estimator == "fisher_upper"]
-    assert len(uppers) == 2
+    assert len(uppers) == 4
     assert all(r.estimate <= 0.01 for r in uppers)
+    # the distance is exactly 0, so there is no rate to fit
+    assert not any(r.estimator.startswith("rate_fit") for r in rows)
 
 
 def test_negmoment_rows(tmp_path):
@@ -194,3 +198,77 @@ def test_cli_flag_overrides(tmp_path):
     rows = rows_from_json(open(out).read())
     assert any(r.estimator == "kl" and abs(r.estimate - 0.01) < 1e-12
                for r in rows)
+
+
+@pytest.mark.parametrize("argv,field", [
+    (["--experiment", "quadform_rate", "--n-grid", "1"], "n_grid"),
+    (["--experiment", "negmoment", "--dist", "gaussian", "--n-grid", "2"],
+     "n_grid"),
+    (["--experiment", "sum_rate", "--n-grid", "8",
+      "--out-path", "/nonexistent/dir/x.csv"], "out_path"),
+    (["--experiment", "quadform_rate", "--n-grid", "2",
+      "--matrix-path", "{zero_matrix}"], "matrix_path"),
+])
+def test_runtime_errors_exit_2_with_field(tmp_path, capsys, argv, field):
+    zero_matrix = write(tmp_path, "zero.mat", "2\n0 0\n0 0\n")
+    argv = [a.format(zero_matrix=zero_matrix) for a in argv]
+    base = ["run", "--dist", "uniform", "--reps", "1000",
+            "--out-path", str(tmp_path / "o.csv")]
+    assert main(base + argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert payload["error"] == "config" and field in payload["detail"]
+
+
+def test_sum_rate_is_identity_link_samplemean(tmp_path):
+    base = dict(dist="uniform", n_grid=(8, 16), reps=20_000, seed=17)
+    by_experiment = {}
+    for experiment, link in (("sum_rate", None),
+                             ("samplemean_rate", "identity")):
+        rows = run(ExperimentConfig(experiment=experiment, link=link,
+                                    out_path=str(tmp_path / f"{experiment}.csv"),
+                                    **base))
+        by_experiment[experiment] = [
+            (r.n, r.estimate, r.standard_error, r.guarded_fraction)
+            for r in rows if r.estimator == "fisher_upper"]
+    assert by_experiment["sum_rate"] == by_experiment["samplemean_rate"]
+
+
+# fisher_upper per rate experiment at n = 8, 16 over uniform inputs with
+# reps 20000 (two shards) and seed 31.  Any change to the stream order of
+# the draws shows up here.
+PINNED_UPPER = {
+    "sum_rate": (0.03728334244836239, 0.016229917682039262),
+    "samplemean_rate": (0.15671800934876712, 0.04380223437948173),
+    "quadform_rate": (0.4322414576062821, 0.1431705887277595),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(PINNED_UPPER))
+def test_rate_estimates_pinned(tmp_path, experiment):
+    cfg = ExperimentConfig(
+        experiment=experiment, dist="uniform", n_grid=(8, 16), reps=20_000,
+        seed=31, link="sin" if experiment == "samplemean_rate" else None,
+        out_path=str(tmp_path / "p.csv"))
+    uppers = [r.estimate for r in run(cfg) if r.estimator == "fisher_upper"]
+    np.testing.assert_allclose(uppers, PINNED_UPPER[experiment], rtol=1e-12)
+
+
+# Derandomized so that tier-1 runs the same 30 configs, and takes the same
+# time, on every run; a negmoment grid point costs seconds of quadrature.
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(experiment=st.sampled_from(EXPERIMENTS),
+       dist=st.sampled_from(("gaussian", "uniform", "exponential_centered",
+                             "student_t(20)")),
+       link=st.sampled_from(("identity", "sin", "tanh", "affine_sin(1,0.5)")),
+       grid=st.lists(st.integers(1, 8), min_size=1, max_size=3,
+                     unique=True).map(sorted),
+       alpha=st.floats(-0.5, 4.0))
+def test_main_exit_code_contract(tmp_path_factory, experiment, dist, link,
+                                 grid, alpha):
+    out = tmp_path_factory.mktemp("contract") / "o.csv"
+    argv = ["run", "--experiment", experiment, "--dist", dist, "--link", link,
+            "--n-grid", ",".join(str(n) for n in grid), "--reps", "1000",
+            f"--alpha={alpha!r}", "--out-path", str(out)]
+    assert main(argv) in (0, 2, 3)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from steinfisher.distributions import (catalog_get, kernel_of_transformed,
-                                       sample_columns)
+from steinfisher.distributions import (CHUNK, catalog_get, chunk_sizes,
+                                       kernel_of_transformed, sample_columns)
 from steinfisher.errors import (MomentConditionViolated, NotCentered,
                                 NotInCatalog)
 from steinfisher.quadrature import integrate
@@ -140,3 +140,14 @@ def test_sample_columns_is_deterministic():
     b = sample_columns(dists, substream(7, "cols"), 64)
     assert a.shape == (64, 4)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("reps,size,expected", [
+    (3 * CHUNK, CHUNK, [CHUNK] * 3),          # exact multiple
+    (2 * CHUNK + 5, CHUNK, [CHUNK, CHUNK, 5]),  # remainder last
+    (1000, CHUNK, [1000]),                    # below one chunk
+    (150_000, 65536, [65536, 65536, 18928]),
+])
+def test_chunk_sizes(reps, size, expected):
+    assert chunk_sizes(reps, size) == expected
+    assert sum(chunk_sizes(reps, size)) == reps

@@ -69,8 +69,7 @@ def test_uniform_n1_closed_form():
     expect = x / u.tau(x) + u.tau_prime(x) / u.tau(x)
     assert np.max(np.abs(s.h - expect)) <= 1e-12
     # at the origin both terms vanish
-    from steinfisher.samplemean import _evaluate
-    assert _evaluate(model, np.array([[0.0]])).h[0] == pytest.approx(0.0, abs=1e-15)
+    assert model.evaluate(np.array([[0.0]])).h[0] == pytest.approx(0.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("name,link_fn,n", [
