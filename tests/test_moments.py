@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from steinfisher import moments
 from steinfisher.distributions import catalog_get
 from steinfisher.errors import (InvalidInput, InvalidOrder,
                                 MissingKernelDerivativeBound, NotIntegrable)
@@ -67,6 +68,79 @@ def test_query_validates_factors():
         NegMomentQuery(alpha=1.0, mgf_factors=(lambda x: 0.5 + 0.0 * np.asarray(x),))
     with pytest.raises(InvalidInput):
         NegMomentQuery(alpha=-1.0, mgf_factors=(GAUSS_SQ.mgf,))
+
+
+def test_mgf_integrates_each_abscissa_once(monkeypatch):
+    calls = []
+    integrate = moments.integrate
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(moments, "integrate", counted)
+    law = NonnegativeLaw.square_of(catalog_get("uniform"))
+    seen = []
+
+    def recorded(x):
+        seen.append(np.array(x, dtype=float))
+        return law.mgf(x)
+
+    negative_moment(NegMomentQuery(alpha=1.0, mgf_factors=(recorded,) * 32))
+    query_calls = len(calls)
+    distinct = {a.tobytes(): a for a in seen}
+    assert len(seen) == 32 * len(distinct)
+    # one evaluation of each distinct abscissa array on a fresh law does the
+    # same quadrature work as the whole 32-factor query
+    calls.clear()
+    fresh = NonnegativeLaw.square_of(catalog_get("uniform"))
+    for a in distinct.values():
+        fresh.mgf(a)
+    assert query_calls == len(calls)
+    abscissae = sum(a.size for a in distinct.values())
+    assert abscissae <= query_calls <= 4 * abscissae  # at most 4 pieces each
+
+
+@pytest.mark.parametrize("make", [NonnegativeLaw.square_of,
+                                  NonnegativeLaw.kernel_of])
+def test_mgf_cache_is_transparent(make):
+    law = make(catalog_get("exponential_centered"))
+    xs = np.array([0.0, 0.5, 2.0, 1e3, 1e6])
+    first = law.mgf(xs)
+    np.testing.assert_array_equal(law.mgf(xs.copy()), first)
+    assert [law.mgf(float(x)) for x in xs] == list(first)
+    # a fresh law has an empty cache
+    fresh = make(catalog_get("exponential_centered"))
+    np.testing.assert_array_equal(fresh.mgf(xs), first)
+    with pytest.raises(ValueError):
+        first[0] = 0.5
+    # the cache keys on a copy of the abscissae, not on the caller's array
+    xs[1] = 7.0
+    assert law.mgf(xs)[1] == law.mgf(7.0)
+    assert law.mgf(np.array([0.5]))[0] == first[1]
+
+
+def test_square_mgf_resolves_peak_at_zero():
+    # E[exp(-v X^2)] ~ p(0) sqrt(pi / v) for large v; a single window
+    # integral places no node in the peak of width 1/sqrt(v) at 0
+    for name in ("uniform", "exponential_centered", "student_t(20)"):
+        dist = catalog_get(name)
+        law = NonnegativeLaw.square_of(dist)
+        for v in (1e3, 1e6):
+            approx = float(dist.density(np.array([0.0]))[0]) * math.sqrt(math.pi / v)
+            assert law.mgf(v) == pytest.approx(approx, rel=2e-3)
+
+
+def test_uniform_negative_moments_pinned():
+    # CLI negmoment, uniform, alpha = 1; the values were recorded before the
+    # MGF cache existed
+    law = NonnegativeLaw.square_of(catalog_get("uniform"))
+    values = [negative_moment(NegMomentQuery(alpha=1.0,
+                                             mgf_factors=(law.mgf,) * n))
+              for n in (8, 16, 32)]
+    np.testing.assert_allclose(
+        values, [0.1416641543324312, 0.06604669615055195, 0.0320795291552325],
+        rtol=1e-12)
 
 
 def test_trend_gaussian_squares_matches_chi_square():
