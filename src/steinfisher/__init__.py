@@ -4,7 +4,7 @@ Fisher information distance to the normal law for nonlinear statistics."""
 from .distances import DistanceReport, convert, kolmogorov_empirical
 from .distributions import (DistributionSpec, SteinKernelForm, catalog_get,
                             kernel_of_transformed)
-from .estimate import (BinConfig, BinnedScore, RateFit, ScorePair, ScoreSample,
+from .estimate import (BinConfig, BinnedScore, RateFit, ScoreSample,
                        density_representation, fisher_distance_plugin,
                        fisher_distance_upper, fit_rate, fit_score,
                        plugin_split)
@@ -12,12 +12,11 @@ from .moments import (MgfCheckPoint, NegMomentQuery, NonnegativeLaw,
                       TrendPoint, mgf_bound_check, mz_bound, negative_moment,
                       ujmld_trend)
 from .quadform import (CoefficientMatrix, MatrixFunctionals, QuadFormModel,
-                       banded_coefficients, draw_score_pair, draw_score_pairs,
+                       banded_coefficients, draw_score_pairs,
                        fisher_bound_factor, gaussian_negative_moment_norm,
                        gaussian_negative_moment_norm_mc, matrix_functionals)
 from .samplemean import (SampleMeanModel, SmoothLink, affine_sin_link,
-                         draw_score_pair_sm, draw_score_pairs_sm,
-                         identity_link, linear_sum_pairs, linear_sum_score,
+                         draw_score_pairs_sm, identity_link, linear_sum_pairs,
                          link_by_name, pre_pass, sample_mean_model, sin_link,
                          tanh_link)
 from .stein_core import (CovarianceCheckReport, DecompositionReport,

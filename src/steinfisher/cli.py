@@ -24,7 +24,9 @@ estimators ``rate_fit_slope``, ``rate_fit_intercept`` and ``rate_fit_r2``
 when four or more grid points have a positive estimate.
 Emitted files are byte-identical for a fixed config and seed; wall-clock
 timings therefore go to stderr and the file column stays 0 unless
-``--timing`` is passed.  ``STEINFISHER_THREADS`` caps shard-level worker
+``--timing`` is passed; then each grid point's rows carry that point's
+milliseconds, rate-fit rows 0, and ``kernel_check`` and ``convert`` rows
+the whole run's.  ``STEINFISHER_THREADS`` caps shard-level worker
 threads (shards merge in fixed order either way).
 
 Exit codes: 0 success; 2 a config that cannot run, with field-level JSON on
@@ -244,6 +246,10 @@ def _upper_row(config, n, sample) -> ResultRow:
                      estimate=est, standard_error=se, guarded_fraction=gf)
 
 
+def _ms_since(t0: float) -> int:
+    return int(round((time.monotonic() - t0) * 1000.0))
+
+
 def _rate_rows(config, upper_rows):
     fit = estimate.fit_rate([r.n for r in upper_rows],
                             [r.estimate for r in upper_rows])
@@ -300,11 +306,13 @@ def _run_rate(config: ExperimentConfig, point):
     rows = []
     upper_rows = []
     for n in config.n_grid:
+        t0 = time.monotonic()
         draw, model, extra_rows = point(config, dist, n)
         row = _upper_row(config, n, _run_shards(draw, model, config.seed, n,
                                                 config.reps))
         upper_rows.append(row)
-        rows += [row] + extra_rows
+        ms = _ms_since(t0)
+        rows += [replace(r, wall_time_ms=ms) for r in [row] + extra_rows]
     # log-log fit: a zero estimate (an exactly Gaussian statistic) has no rate
     positive = [row for row in upper_rows if row.estimate > 0.0]
     if len(positive) >= 4:
@@ -316,6 +324,7 @@ def _run_kernel_check(config: ExperimentConfig):
     from .quadrature import integrate
     from .stein_core import tau_by_quadrature
 
+    t0 = time.monotonic()
     dist = catalog_get(config.dist)
     lo = _quantile(dist, 0.0005)
     hi = _quantile(dist, 0.9995)
@@ -325,7 +334,8 @@ def _run_kernel_check(config: ExperimentConfig):
     wlo, whi = dist.quad_window
     etau = integrate(lambda y: dist.tau(y) * dist.density(y), wlo, whi, tol=1e-12)
     shared = dict(experiment=config.experiment, n=grid.size, reps=1,
-                  seed=config.seed, standard_error=0.0, guarded_fraction=0.0)
+                  seed=config.seed, standard_error=0.0, guarded_fraction=0.0,
+                  wall_time_ms=_ms_since(t0))
     return [
         ResultRow(estimator="tau_max_abs_diff", estimate=float(max(diffs)), **shared),
         ResultRow(estimator="e_tau_minus_1", estimate=float(etau - 1.0), **shared),
@@ -348,11 +358,13 @@ def _run_negmoment(config: ExperimentConfig):
     law = moments.NonnegativeLaw.square_of(dist)
     rows = []
     for n in config.n_grid:
-        shared = dict(experiment=config.experiment, n=n, reps=1,
-                      seed=config.seed, standard_error=0.0, guarded_fraction=0.0)
+        t0 = time.monotonic()
         query = moments.NegMomentQuery(alpha=config.alpha,
                                        mgf_factors=(law.mgf,) * n)
         value = moments.negative_moment(query)
+        shared = dict(experiment=config.experiment, n=n, reps=1,
+                      seed=config.seed, standard_error=0.0, guarded_fraction=0.0,
+                      wall_time_ms=_ms_since(t0))
         rows.append(ResultRow(estimator="negative_moment", estimate=value,
                               **shared))
         rows.append(ResultRow(estimator="normalized_trend",
@@ -362,9 +374,11 @@ def _run_negmoment(config: ExperimentConfig):
 
 
 def _run_convert(config: ExperimentConfig):
+    t0 = time.monotonic()
     report = distances.convert(config.fisher_value)
     shared = dict(experiment=config.experiment, n=0, reps=1, seed=config.seed,
-                  standard_error=0.0, guarded_fraction=0.0)
+                  standard_error=0.0, guarded_fraction=0.0,
+                  wall_time_ms=_ms_since(t0))
     return [
         ResultRow(estimator=name, estimate=getattr(report, name), **shared)
         for name in ("fisher", "uniform_density", "kl", "wasserstein2",
@@ -386,17 +400,16 @@ def run(config: ExperimentConfig, *, emit_timing=False) -> list:
     """Validate, execute, and write one experiment; returns its rows.
 
     Emitted files are deterministic for a fixed config: the timing column
-    stays 0 unless ``emit_timing`` asks for measured values.
+    stays 0 unless ``emit_timing`` keeps the times the runners measured.
     """
     problems = validate(config)
     if problems:
         raise ConfigError(problems)
     t0 = time.monotonic()
     rows = _RUNNERS[config.experiment](config)
-    elapsed_ms = int(round((time.monotonic() - t0) * 1000.0))
-    if emit_timing:
-        per_row = max(1, elapsed_ms // max(1, len(rows)))
-        rows = [replace(row, wall_time_ms=per_row) for row in rows]
+    elapsed_ms = _ms_since(t0)
+    if not emit_timing:
+        rows = [replace(row, wall_time_ms=0) for row in rows]
     text = (rows_to_csv(rows) if config.format == "csv"
             else rows_to_json(rows))
     with open(config.out_path, "w", encoding="utf-8", newline="") as fh:

@@ -282,6 +282,16 @@ def sample_columns(dists, stream, m: int) -> np.ndarray:
     return out
 
 
+def kernel_columns(dists, x: np.ndarray):
+    """Stein kernels ``(tau, tau')`` of column ``k`` of ``x`` under ``dists[k]``."""
+    tau = np.empty_like(x)
+    taup = np.empty_like(x)
+    for k, dist in enumerate(dists):
+        tau[:, k] = dist.tau(x[:, k])
+        taup[:, k] = dist.tau_prime(x[:, k])
+    return tau, taup
+
+
 def chunk_sizes(reps: int, size: int = CHUNK) -> list:
     """Block sizes splitting ``reps`` draws into full blocks and a remainder.
 

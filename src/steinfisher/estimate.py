@@ -1,8 +1,8 @@
-"""Monte Carlo estimators built on streams of score pairs.
+"""Monte Carlo estimators built on samples of the score representation.
 
-A score pair couples one draw of the statistic ``F`` with the draw of the
+A sample couples each draw of the statistic ``F`` with the draw of the
 representation integrand ``H`` whose conditional expectation given ``F``
-is minus the score of ``F``.  From pairs we estimate the squared-difference
+is minus the score of ``F``.  From a sample we estimate the squared-difference
 upper bound, a binned nonparametric score, the plug-in Fisher information
 distance, the indicator-weighted density, and log-log convergence rates.
 """
@@ -11,36 +11,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
 
 import numpy as np
 
 from .errors import GuardDominated, InsufficientData, InvalidInput
 
+GUARD = 1e-10  # draws with |normalizer| below this carry no H
 GUARDED_FRACTION_LIMIT = 0.01
 
 
-@dataclass(frozen=True)
-class ScorePair:
-    """One Monte Carlo draw of ``(F, H)`` plus its normalizing statistic.
-
-    Guarded draws (normalizer below the division guard) carry no ``h_value``.
-    """
-
-    f_value: float
-    h_value: Optional[float]
-    aux: float
-    guarded: bool = False
-
-    def __post_init__(self):
-        if self.guarded and self.h_value is not None:
-            raise InvalidInput("guarded draws must not carry an h_value")
-        if not self.guarded and self.h_value is None:
-            raise InvalidInput("unguarded draws require an h_value")
-
-
 class ScoreSample:
-    """Column store of score pairs; the batch form all estimators consume."""
+    """Column store of ``(F, H, normalizer)`` draws; all estimators take it."""
 
     def __init__(self, f, h, aux, guarded):
         self.f = np.asarray(f, dtype=float)
@@ -51,13 +32,15 @@ class ScoreSample:
             raise InvalidInput("score sample columns must share one shape")
 
     @classmethod
-    def from_pairs(cls, pairs: Iterable[ScorePair]) -> "ScoreSample":
-        pairs = list(pairs)
-        f = [p.f_value for p in pairs]
-        h = [math.nan if p.guarded else p.h_value for p in pairs]
-        aux = [p.aux for p in pairs]
-        g = [p.guarded for p in pairs]
-        return cls(f, h, aux, g)
+    def represent(cls, f, g, normalizer, cross) -> "ScoreSample":
+        """``H = G / Gamma + Gamma_{Gamma,G} / Gamma^2`` with ``G = g``,
+        ``Gamma = normalizer`` and ``Gamma_{Gamma,G} = cross``; draws with
+        ``|Gamma| < GUARD`` are guarded and carry ``h = nan``."""
+        guarded = np.abs(normalizer) < GUARD
+        h = np.full_like(f, np.nan)
+        ok = ~guarded
+        h[ok] = g[ok] / normalizer[ok] + cross[ok] / normalizer[ok] ** 2
+        return cls(f=f, h=h, aux=normalizer, guarded=guarded)
 
     @classmethod
     def concat(cls, samples) -> "ScoreSample":
@@ -70,16 +53,6 @@ class ScoreSample:
 
     def __len__(self) -> int:
         return self.f.size
-
-    def __iter__(self):
-        for i in range(len(self)):
-            g = bool(self.guarded[i])
-            yield ScorePair(
-                f_value=float(self.f[i]),
-                h_value=None if g else float(self.h[i]),
-                aux=float(self.aux[i]),
-                guarded=g,
-            )
 
     @property
     def guarded_fraction(self) -> float:
@@ -103,14 +76,15 @@ class ScoreSample:
         return a, b
 
 
-def as_sample(pairs) -> ScoreSample:
-    if isinstance(pairs, ScoreSample):
-        return pairs
-    return ScoreSample.from_pairs(pairs)
+def _require_sample(sample) -> ScoreSample:
+    if not isinstance(sample, ScoreSample):
+        raise InvalidInput(
+            f"estimators take a ScoreSample, got {type(sample).__name__}")
+    return sample
 
 
-def _checked(pairs, minimum: int) -> ScoreSample:
-    sample = as_sample(pairs)
+def _checked(sample, minimum: int) -> ScoreSample:
+    sample = _require_sample(sample)
     if sample.guarded_fraction > GUARDED_FRACTION_LIMIT:
         raise GuardDominated(
             f"guarded fraction {sample.guarded_fraction:.4f} exceeds "
@@ -121,16 +95,18 @@ def _checked(pairs, minimum: int) -> ScoreSample:
     return sample
 
 
-def fisher_distance_upper(pairs):
+def _mean_se(values):
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
+
+
+def fisher_distance_upper(sample):
     """Sample mean and standard error of ``(H - F)^2``; the upper bound.
 
     Returns ``(estimate, standard_error, guarded_fraction)``.
     """
-    sample = _checked(pairs, 10 ** 3)
+    sample = _checked(sample, 10 ** 3)
     f, h = sample.unguarded()
-    sq = (h - f) ** 2
-    est = float(sq.mean())
-    se = float(sq.std(ddof=1) / math.sqrt(sq.size)) if sq.size > 1 else 0.0
+    est, se = _mean_se((h - f) ** 2)
     return est, se, sample.guarded_fraction
 
 
@@ -157,9 +133,9 @@ class BinnedScore:
         return self.bin_means[idx]
 
 
-def fit_score(pairs, bin_config: BinConfig = BinConfig()) -> BinnedScore:
+def fit_score(sample, bin_config: BinConfig = BinConfig()) -> BinnedScore:
     """Equal-mass binning of ``-H`` on ``F``; bins under ``min_count`` merge."""
-    sample = _checked(pairs, 10 ** 4)
+    sample = _checked(sample, 10 ** 4)
     f, h = sample.unguarded()
     order = np.argsort(f, kind="stable")
     fs, hs = f[order], -h[order]
@@ -191,27 +167,23 @@ def fit_score(pairs, bin_config: BinConfig = BinConfig()) -> BinnedScore:
                        bin_counts=counts, min_count=bin_config.min_count)
 
 
-def fisher_distance_plugin(pairs, score: BinnedScore):
-    """Plug-in estimate ``mean (rho_hat(F) + F)^2`` on held-out pairs.
+def fisher_distance_plugin(sample, score: BinnedScore):
+    """Plug-in estimate ``mean (rho_hat(F) + F)^2`` on held-out draws.
 
     The caller must have fitted ``score`` on an independent half of the
     draws; :func:`plugin_split` packages that discipline.
     """
-    sample = _checked(pairs, 10 ** 3)
+    sample = _checked(sample, 10 ** 3)
     f, _ = sample.unguarded()
-    sq = (score.evaluate(f) + f) ** 2
-    est = float(sq.mean())
-    se = float(sq.std(ddof=1) / math.sqrt(sq.size)) if sq.size > 1 else 0.0
-    return est, se
+    return _mean_se((score.evaluate(f) + f) ** 2)
 
 
-def plugin_split(pairs, bin_config: BinConfig = BinConfig()):
+def plugin_split(sample, bin_config: BinConfig = BinConfig()):
     """Fit the score on the first half, evaluate the plug-in on the second.
 
     Returns ``(estimate, standard_error, score)``.
     """
-    sample = as_sample(pairs)
-    fit_half, eval_half = sample.split_half()
+    fit_half, eval_half = _require_sample(sample).split_half()
     score = fit_score(fit_half, bin_config)
     est, se = fisher_distance_plugin(eval_half, score)
     return est, se, score
@@ -228,9 +200,9 @@ class DensityEstimate:
     hist_std_errors: np.ndarray
 
 
-def density_representation(pairs, x_grid) -> DensityEstimate:
+def density_representation(sample, x_grid) -> DensityEstimate:
     """Estimate the density of ``F`` as ``mean(1{F > x} * H)`` on a grid."""
-    sample = _checked(pairs, 10 ** 4)
+    sample = _checked(sample, 10 ** 4)
     f, h = sample.unguarded()
     grid = np.asarray(x_grid, dtype=float)
     m = f.size

@@ -24,6 +24,8 @@ from .quadrature import integrate, integrate_half_line
 # up to ``alpha * (1 + _PROBE_MARGIN)``.
 _PROBE_POINTS = (1e3, 1e6)
 _PROBE_MARGIN = 1e-3
+# u^(1/alpha) overflows for small alpha, and an MGF at inf gives nan.
+_MAX_ABSCISSA = 1e300
 
 
 @dataclass(frozen=True)
@@ -78,13 +80,18 @@ def negative_moment(query: NegMomentQuery) -> float:
                 f"factor product decays like x^-{decay:.3f}, need faster "
                 f"than x^-{query.alpha:g}")
     alpha = query.alpha
-    log_gamma = math.lgamma(alpha)
+    # Over u = x^p the x^(alpha - 1) singularity at 0 (scaled below the
+    # absolute tolerance by 1/Gamma(alpha)) is gone; p = 1 for alpha >= 1.
+    p = min(alpha, 1.0)
+    log_const = math.lgamma(alpha) + math.log(p)
 
-    def integrand(xs):
-        xs = np.asarray(xs, dtype=float)
-        out = np.zeros_like(xs)
-        pos = xs > 0.0
-        xp = xs[pos]
+    def integrand(us):
+        us = np.asarray(us, dtype=float)
+        out = np.zeros_like(us)
+        pos = us > 0.0
+        up = us[pos]
+        with np.errstate(over="ignore"):
+            xp = np.minimum(up ** (1.0 / p), _MAX_ABSCISSA)
         log_prod = np.zeros_like(xp)
         live = np.ones_like(xp, dtype=bool)
         for fac in query.mgf_factors:
@@ -92,7 +99,7 @@ def negative_moment(query: NegMomentQuery) -> float:
             live &= vals > 0.0
             with np.errstate(divide="ignore"):
                 log_prod = np.where(live, log_prod + np.log(np.where(vals > 0, vals, 1.0)), -np.inf)
-        out[pos] = np.exp((alpha - 1.0) * np.log(xp) + log_prod - log_gamma)
+        out[pos] = np.exp((alpha - p) / p * np.log(up) + log_prod - log_const)
         return out
 
     return integrate_half_line(integrand, tol=query.quadrature_tol)

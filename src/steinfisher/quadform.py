@@ -14,13 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .distributions import chunk_sizes, sample_columns
+from .distributions import chunk_sizes, kernel_columns, sample_columns
 from .errors import (ContractViolation, DegenerateModel, InvalidInput,
                      NotIntegrable)
-from .estimate import ScorePair, ScoreSample
+from .estimate import ScoreSample
 from .quadrature import integrate_half_line
-
-GUARD_THETA = 1e-10
 
 
 class CoefficientMatrix:
@@ -115,21 +113,13 @@ class QuadFormModel:
     def n(self) -> int:
         return self.matrix.n
 
-    def _tau_taup(self, x: np.ndarray):
-        tau = np.empty_like(x)
-        taup = np.empty_like(x)
-        for k, dist in enumerate(self.dists):
-            tau[:, k] = dist.tau(x[:, k])
-            taup[:, k] = dist.tau_prime(x[:, k])
-        return tau, taup
-
     def evaluate(self, x: np.ndarray) -> ScoreSample:
         """Score-pair arrays for a block of draws ``x`` of shape (m, n)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         a = self.matrix.entries
         r = x @ a
         f = 0.5 * (x * r).sum(axis=1)
-        tau, taup = self._tau_taup(x)
+        tau, taup = kernel_columns(self.dists, x)
         theta = 0.5 * ((r ** 2) * tau).sum(axis=1)
         lm = 0.5 * tau * r
         grad_theta = (tau * r) @ a + 0.5 * taup * r ** 2
@@ -138,11 +128,7 @@ class QuadFormModel:
             f = f / self.sigma
             theta = theta / self.sigma2
             theta_theta_f = theta_theta_f / (self.sigma2 * self.sigma)
-        guarded = np.abs(theta) < GUARD_THETA
-        h = np.full_like(f, np.nan)
-        ok = ~guarded
-        h[ok] = f[ok] / theta[ok] + theta_theta_f[ok] / theta[ok] ** 2
-        return ScoreSample(f=f, h=h, aux=theta, guarded=guarded)
+        return ScoreSample.represent(f, f, theta, theta_theta_f)
 
     def theta_value(self, x) -> float:
         """Normalizer at one point, on the same scale the draws use."""
@@ -154,7 +140,7 @@ class QuadFormModel:
         x = np.asarray(x, dtype=float)[None, :]
         a = self.matrix.entries
         r = x @ a
-        tau, taup = self._tau_taup(x)
+        tau, taup = kernel_columns(self.dists, x)
         grad = ((tau * r) @ a + 0.5 * taup * r ** 2)[0]
         return grad / self.sigma2 if self.standardize else grad
 
@@ -164,11 +150,6 @@ def draw_score_pairs(model: QuadFormModel, stream, reps: int) -> ScoreSample:
     blocks = [model.evaluate(sample_columns(model.dists, stream, m))
               for m in chunk_sizes(reps)]
     return ScoreSample.concat(blocks)
-
-
-def draw_score_pair(model: QuadFormModel, stream) -> ScorePair:
-    sample = draw_score_pairs(model, stream, 1)
-    return next(iter(sample))
 
 
 def gaussian_negative_moment_norm(matrix: CoefficientMatrix, order: float,

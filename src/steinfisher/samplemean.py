@@ -16,11 +16,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .distributions import chunk_sizes, sample_columns
+from .distributions import chunk_sizes, kernel_columns, sample_columns
 from .errors import DegenerateVariance, InvalidInput
-from .estimate import ScorePair, ScoreSample
-
-GUARD_NABLA = 1e-10
+from .estimate import ScoreSample
 
 
 @dataclass(frozen=True)
@@ -132,11 +130,7 @@ class SampleMeanModel:
         sigma = self.sigma
         sqrt_n = math.sqrt(n)
         xbar = x.mean(axis=1)
-        tau = np.empty_like(x)
-        taup = np.empty_like(x)
-        for k, dist in enumerate(self.dists):
-            tau[:, k] = dist.tau(x[:, k])
-            taup[:, k] = dist.tau_prime(x[:, k])
+        tau, taup = kernel_columns(self.dists, x)
         taubar = tau.mean(axis=1)
         hp0 = link.h_prime_at_0
         hp = link.h_prime(xbar)
@@ -148,11 +142,7 @@ class SampleMeanModel:
         second = (d_common * tau.sum(axis=1)
                   + (hp0 * hp / n / sigma ** 2) * (taup * tau).sum(axis=1))
         second = second * hp0 / (sigma * sqrt_n)
-        guarded = np.abs(nabla) < GUARD_NABLA
-        h = np.full_like(f, np.nan)
-        ok = ~guarded
-        h[ok] = g_sum[ok] / nabla[ok] + second[ok] / nabla[ok] ** 2
-        return ScoreSample(f=f, h=h, aux=nabla, guarded=guarded)
+        return ScoreSample.represent(f, g_sum, nabla, second)
 
 
 def pre_pass(link: SmoothLink, dists, n: int, reps: int, stream):
@@ -179,32 +169,22 @@ def pre_pass(link: SmoothLink, dists, n: int, reps: int, stream):
 
 
 def _normalize_dists(dists, n: Optional[int] = None):
-    try:
-        seq = tuple(dists)
-    except TypeError:
-        seq = (dists,)
-    if len(seq) == 1 and n is not None and n > 1:
-        seq = seq * n
+    seq = tuple(dists)
     if n is not None and len(seq) != n:
         raise InvalidInput(f"need {n} coordinate laws, got {len(seq)}")
     return seq
 
 
 def sample_mean_model(link: SmoothLink, dists, n: Optional[int] = None, *,
-                      stream=None, prepass_reps: int = 10 ** 5,
-                      exact_moments: Optional[tuple] = None) -> SampleMeanModel:
+                      stream=None, prepass_reps: int = 10 ** 5) -> SampleMeanModel:
     """Build a model, supplying ``(mu_h, sigma)`` exactly or by pre-pass.
 
-    The identity link over standardized laws defaults to the exact moments
-    (0, 1); any other link requires either ``exact_moments`` or a stream
-    for the Monte Carlo pre-pass, which is kept disjoint from the main run
-    by seeding convention.
+    The identity link over standardized laws has the exact moments (0, 1);
+    any other link requires a stream for the Monte Carlo pre-pass, which is
+    kept disjoint from the main run by seeding convention.
     """
     dists = _normalize_dists(dists, n)
-    if exact_moments is not None:
-        mu, sigma = float(exact_moments[0]), float(exact_moments[1])
-        se = (0.0, 0.0)
-    elif link.name == "identity":
+    if link.name == "identity":
         mu, sigma, se = 0.0, 1.0, (0.0, 0.0)
     else:
         if stream is None:
@@ -221,10 +201,6 @@ def draw_score_pairs_sm(model: SampleMeanModel, stream, reps: int) -> ScoreSampl
     return ScoreSample.concat(blocks)
 
 
-def draw_score_pair_sm(model: SampleMeanModel, stream) -> ScorePair:
-    return next(iter(draw_score_pairs_sm(model, stream, 1)))
-
-
 def nabla_value(model: SampleMeanModel, x) -> float:
     """Normalizer at one coordinate vector, on the standardized scale."""
     x = np.asarray(x, dtype=float)[None, :]
@@ -233,14 +209,13 @@ def nabla_value(model: SampleMeanModel, x) -> float:
 
 def nabla_gradient(model: SampleMeanModel, x) -> np.ndarray:
     """Closed-form gradient of :func:`nabla_value` in each coordinate."""
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=float)[None, :]
     n = model.n
     xbar = float(x.mean())
-    tau = np.array([float(d.tau(v)) for d, v in zip(model.dists, x)])
-    taup = np.array([float(d.tau_prime(v)) for d, v in zip(model.dists, x)])
+    tau, taup = kernel_columns(model.dists, x)
     hp0 = model.link.h_prime_at_0
     grad = (hp0 * float(model.link.h_second(xbar)) / n ** 2 * tau.sum()
-            + hp0 * float(model.link.h_prime(xbar)) / n * taup)
+            + hp0 * float(model.link.h_prime(xbar)) / n * taup[0])
     return grad / model.sigma ** 2
 
 
@@ -263,9 +238,3 @@ def linear_sum_pairs(dists, n: int, stream, reps: int):
             rho[:, k] = dist.log_density_derivative(x[:, k])
         classic.append(rho.sum(axis=1) / math.sqrt(n))
     return ScoreSample.concat(blocks), np.concatenate(classic)
-
-
-def linear_sum_score(dists, n: int, stream):
-    """Single draw of the linear statistic: ``(stein_pair, h_classic)``."""
-    sample, classic = linear_sum_pairs(dists, n, stream, 1)
-    return next(iter(sample)), float(classic[0])

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -248,6 +249,48 @@ def test_negmoment_integrability_boundary(tmp_path, capsys, dist, n, alpha,
         values = [r.estimate for r in rows_from_csv(out.read_text())
                   if r.estimator == "negative_moment"]
         assert len(values) == 1 and 0.0 < values[0] < math.inf
+
+
+@pytest.mark.parametrize("dist,n,alpha", [
+    ("student_t(20)", 7, 8.88745422082022e-71), ("uniform", 2, 1e-9),
+])
+def test_negmoment_small_alpha(tmp_path, dist, n, alpha):
+    # once 6.0e-70 with exit 0, and a 5 s stall before exit 3
+    out = tmp_path / "o.csv"
+    argv = ["run", "--experiment", "negmoment", "--dist", dist,
+            "--n-grid", str(n), f"--alpha={alpha!r}", "--out-path", str(out)]
+    t0 = time.perf_counter()
+    assert main(argv) == 0
+    assert time.perf_counter() - t0 < 2.0
+    values = [r.estimate for r in rows_from_csv(out.read_text())
+              if r.estimator == "negative_moment"]
+    assert values == [pytest.approx(1.0, abs=1e-8)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--experiment", "quadform_rate", "--dist", "gaussian",
+     "--n-grid", "4,8,16,32", "--reps", "20000"],
+    ["--experiment", "negmoment", "--dist", "uniform", "--n-grid", "8,16,32"],
+    ["--experiment", "kernel_check", "--dist", "uniform", "--n-grid", "1"],
+])
+def test_timing_is_measured_per_grid_point(tmp_path, capsys, argv):
+    out = tmp_path / "o.csv"
+    assert main(["run", *argv, "--timing", "--out-path", str(out)]) == 0
+    total_ms = int(capsys.readouterr().err.split(" in ")[-1].split()[0])
+    rows = rows_from_csv(out.read_text())
+    per_point = {}
+    for r in rows:
+        if r.estimator.startswith("rate_fit_"):
+            assert r.wall_time_ms == 0
+        else:
+            per_point.setdefault(r.n, set()).add(r.wall_time_ms)
+    assert all(len(times) == 1 for times in per_point.values())
+    assert any(r.estimator.startswith("rate_fit_") for r in rows) == (
+        "quadform_rate" in argv)
+    times = [t for (t,) in per_point.values()]
+    assert sum(times) <= total_ms + len(times)
+    if "quadform_rate" in argv:
+        assert min(times) > 0
 
 
 def test_sum_rate_is_identity_link_samplemean(tmp_path):

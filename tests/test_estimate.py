@@ -8,11 +8,12 @@ from scipy.stats import norm
 
 from steinfisher.distributions import catalog_get
 from steinfisher.errors import (GuardDominated, InsufficientData, InvalidInput)
-from steinfisher.estimate import (BinConfig, ScorePair, ScoreSample, as_sample,
+from steinfisher.estimate import (GUARD, BinConfig, ScoreSample,
                                   density_representation,
                                   fisher_distance_plugin,
                                   fisher_distance_upper, fit_rate, fit_score,
                                   plugin_split)
+from steinfisher.quadform import CoefficientMatrix, QuadFormModel
 from steinfisher.samplemean import (identity_link, draw_score_pairs_sm,
                                     linear_sum_pairs, sample_mean_model)
 from steinfisher.streams import substream
@@ -24,21 +25,29 @@ def gaussian_sum_sample(n=16, reps=100_000, seed=1):
     return draw_score_pairs_sm(model, substream(seed, "gsum"), reps)
 
 
-def test_score_pair_invariants():
-    with pytest.raises(InvalidInput):
-        ScorePair(f_value=0.0, h_value=1.0, aux=1.0, guarded=True)
-    with pytest.raises(InvalidInput):
-        ScorePair(f_value=0.0, h_value=None, aux=1.0, guarded=False)
-    p = ScorePair(f_value=0.5, h_value=None, aux=0.0, guarded=True)
-    assert p.guarded
+def test_guard_is_shared_by_both_families():
+    # one guard constant: the quadform all-zero draw (Theta = 0) and the
+    # uniform n = 1 draw at sqrt(3) (nabla = tau(sqrt(3)) ~ 2.2e-16)
+    g, u = catalog_get("gaussian"), catalog_get("uniform")
+    quad = QuadFormModel(CoefficientMatrix([[0.0, 1.0], [1.0, 0.0]]), [g, g])
+    mean = sample_mean_model(identity_link(), [u], 1)
+    for model, x in ((quad, np.zeros((1, 2))),
+                     (mean, np.array([[math.sqrt(3.0)]]))):
+        sample = model.evaluate(x)
+        assert abs(sample.aux[0]) < GUARD
+        assert bool(sample.guarded[0]) and math.isnan(sample.h[0])
 
 
-def test_sample_round_trip_through_pairs():
-    sample = gaussian_sum_sample(reps=2000)
-    again = as_sample(list(sample))
-    assert np.array_equal(sample.f, again.f)
-    assert np.array_equal(sample.h, again.h)
-    assert np.array_equal(sample.guarded, again.guarded)
+@pytest.mark.parametrize("estimator", [
+    fisher_distance_upper, fit_score, plugin_split,
+    lambda s: fisher_distance_plugin(s, None),
+    lambda s: density_representation(s, [0.0, 1.0]),
+])
+def test_estimators_take_only_score_samples(estimator):
+    sample = gaussian_sum_sample(reps=20_000)
+    pairs = list(zip(sample.f.tolist(), sample.h.tolist()))
+    with pytest.raises(InvalidInput):
+        estimator(pairs)
 
 
 def test_upper_gaussian_fixed_point_and_adversarial():

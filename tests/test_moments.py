@@ -143,6 +143,28 @@ def test_uniform_negative_moments_pinned():
         rtol=1e-12)
 
 
+@pytest.mark.parametrize("name", ["gaussian", "uniform", "exponential_centered",
+                                  "student_t(20)"])
+@pytest.mark.parametrize("alpha", [1e-9, 8.9e-71])
+def test_negative_moment_small_alpha_tends_to_one(name, alpha):
+    # E[S^-alpha] -> 1 as alpha -> 0; 1/Gamma(alpha) once scaled the
+    # integrand below the tolerance and returned about alpha instead
+    law = NonnegativeLaw.square_of(catalog_get(name))
+    value = negative_moment(NegMomentQuery(alpha=alpha, mgf_factors=(law.mgf,) * 3))
+    assert abs(value - 1.0) <= 1e-8
+
+
+@pytest.mark.parametrize("n", [3, 7])
+@pytest.mark.parametrize("alpha", [0.1, 0.5])
+def test_negative_moment_chi_square_closed_form_below_one(n, alpha):
+    # E[(chi2_n)^-alpha] = Gamma(n/2 - alpha) / (2^alpha Gamma(n/2))
+    value = negative_moment(NegMomentQuery(alpha=alpha,
+                                           mgf_factors=(GAUSS_SQ.mgf,) * n))
+    exact = math.exp(math.lgamma(n / 2 - alpha) - alpha * math.log(2.0)
+                     - math.lgamma(n / 2))
+    assert value == pytest.approx(exact, rel=1e-9)
+
+
 def test_trend_gaussian_squares_matches_chi_square():
     points = ujmld_trend(GAUSS_SQ, 1.0, [4, 8, 16, 32, 64])
     for p in points:

@@ -10,8 +10,8 @@ from steinfisher.errors import (ContractViolation, DegenerateModel,
                                 NotIntegrable)
 from steinfisher.estimate import fisher_distance_upper, plugin_split
 from steinfisher.quadform import (CoefficientMatrix, QuadFormModel,
-                                  banded_coefficients, draw_score_pair,
-                                  draw_score_pairs, fisher_bound_factor,
+                                  banded_coefficients, draw_score_pairs,
+                                  fisher_bound_factor,
                                   gaussian_negative_moment_norm,
                                   gaussian_negative_moment_norm_mc,
                                   matrix_functionals)
@@ -184,19 +184,10 @@ def test_fisher_bound_factor_banded_trend():
 
 def test_draw_score_pair_deterministic():
     model = gauss_pair_model()
-    p1 = draw_score_pair(model, substream(6, "one"))
-    p2 = draw_score_pair(model, substream(6, "one"))
-    assert p1 == p2
-
-
-def test_zero_draw_is_guarded():
-    # the all-zero coordinate vector sends Theta below the division guard
-    model = gauss_pair_model()
-    sample = model.evaluate(np.zeros((1, 2)))
-    assert bool(sample.guarded[0])
-    assert math.isnan(sample.h[0])
-    pair = next(iter(sample))
-    assert pair.guarded and pair.h_value is None
+    s1 = draw_score_pairs(model, substream(6, "one"), 1)
+    s2 = draw_score_pairs(model, substream(6, "one"), 1)
+    assert len(s1) == 1 and not s1.guarded[0]
+    assert (s1.f[0], s1.h[0], s1.aux[0]) == (s2.f[0], s2.h[0], s2.aux[0])
 
 
 def test_score_identity_expectation():

@@ -6,9 +6,8 @@ import pytest
 from steinfisher.distributions import catalog_get
 from steinfisher.errors import DegenerateVariance, InvalidInput
 from steinfisher.estimate import fisher_distance_upper
-from steinfisher.samplemean import (affine_sin_link, draw_score_pair_sm,
-                                    draw_score_pairs_sm, identity_link,
-                                    linear_sum_pairs, linear_sum_score,
+from steinfisher.samplemean import (affine_sin_link, draw_score_pairs_sm,
+                                    identity_link, linear_sum_pairs,
                                     link_by_name, nabla_gradient, nabla_value,
                                     pre_pass, sample_mean_model, sin_link,
                                     tanh_link)
@@ -139,9 +138,9 @@ def test_mean_nabla_approaches_squared_slope():
 
 def test_linear_sum_sign_conventions():
     g = catalog_get("gaussian")
-    pair, h_classic = linear_sum_score([g] * 4, 4, substream(13, "sign"))
-    assert pair.h_value == pytest.approx(pair.f_value, abs=1e-12)
-    assert h_classic == pytest.approx(-pair.f_value, abs=1e-12)
+    sample, h_classic = linear_sum_pairs([g] * 4, 4, substream(13, "sign"), 1)
+    assert sample.h[0] == pytest.approx(sample.f[0], abs=1e-12)
+    assert h_classic[0] == pytest.approx(-sample.f[0], abs=1e-12)
 
 
 @pytest.mark.parametrize("name", ["uniform", "student_t(20)"])
@@ -181,6 +180,7 @@ def test_draw_score_pair_sm_single():
     g = catalog_get("gaussian")
     model = sample_mean_model(sin_link(), [g] * 6, 6,
                               stream=substream(16, "pp"), prepass_reps=10 ** 4)
-    p1 = draw_score_pair_sm(model, substream(17, "draw"))
-    p2 = draw_score_pair_sm(model, substream(17, "draw"))
-    assert p1 == p2 and not p1.guarded
+    s1 = draw_score_pairs_sm(model, substream(17, "draw"), 1)
+    s2 = draw_score_pairs_sm(model, substream(17, "draw"), 1)
+    assert len(s1) == 1 and not s1.guarded[0]
+    assert (s1.f[0], s1.h[0], s1.aux[0]) == (s2.f[0], s2.h[0], s2.aux[0])
