@@ -14,12 +14,11 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .errors import MomentConditionViolated, NotCentered, NotInCatalog
 from .quadrature import density_window, integrate
 
-DENSITY_FLOOR = 1e-16
 CHUNK = 16384  # draws per block in every chunked draw loop
 
 _SQRT3 = math.sqrt(3.0)
@@ -48,7 +47,8 @@ class DistributionSpec:
     ``sampler(stream, size=None)`` consumes the supplied generator only;
     there is no hidden state, so specs are shareable across threads.
     ``quad_window`` is the finite interval on which the density stays above
-    ``DENSITY_FLOOR``; all quadratures truncate to it.
+    the default ``floor`` of :func:`~steinfisher.quadrature.density_window`;
+    all quadratures truncate to it.
     """
 
     name: str
@@ -58,7 +58,6 @@ class DistributionSpec:
     sampler: Callable
     kernel_form: SteinKernelForm
     moment8: float
-    moment8_finite: bool
     cdf: Callable
     quad_window: tuple
     pearson: Optional[tuple] = None  # (m, k, alpha1, alpha2, alpha3)
@@ -90,7 +89,6 @@ def _gaussian() -> DistributionSpec:
             tau_prime_bound=0.0,
         ),
         moment8=105.0,
-        moment8_finite=True,
         cdf=lambda x: special.ndtr(np.asarray(x, dtype=float)),
         quad_window=density_window(density, (-math.inf, math.inf)),
         pearson=(1.0, 0.0, 0.0, 0.0, 1.0),
@@ -122,7 +120,6 @@ def _uniform() -> DistributionSpec:
             tau_prime_bound=_SQRT3,
         ),
         moment8=9.0,
-        moment8_finite=True,
         cdf=lambda x: np.clip((np.asarray(x, dtype=float) - lo) / (hi - lo), 0.0, 1.0),
         quad_window=(lo, hi),
         pearson=(0.0, 0.0, -0.5, 0.0, 1.5),
@@ -154,7 +151,6 @@ def _exponential_centered() -> DistributionSpec:
             tau_prime_bound=1.0,
         ),
         moment8=14833.0,  # E[(Exp(1) - 1)^8], the 8th derangement number
-        moment8_finite=True,
         cdf=cdf,
         quad_window=density_window(density, (-1.0, math.inf)),
         pearson=(1.0, 1.0, 0.0, 1.0, 1.0),
@@ -198,8 +194,7 @@ def _student_t(beta: float) -> DistributionSpec:
             tau_prime_bound=None,
         ),
         moment8=moment8,
-        moment8_finite=True,
-        cdf=lambda x: stats.t.cdf(np.asarray(x, dtype=float) / scale, beta),
+        cdf=lambda x: special.stdtr(beta, np.asarray(x, dtype=float) / scale),
         quad_window=density_window(density, (-math.inf, math.inf)),
         pearson=((beta + 1.0) / (beta - 1.0), 0.0,
                  1.0 / (beta - 1.0), 0.0, (beta - 2.0) / (beta - 1.0)),
@@ -273,17 +268,23 @@ def sample_columns(dists, stream, m: int) -> np.ndarray:
     """Draw an ``(m, n)`` matrix whose column ``k`` follows ``dists[k]``.
 
     Columns are drawn sequentially from the single supplied stream, so the
-    result is reproducible for a fixed ``(dists, stream state)``.
+    result is reproducible for a fixed ``(dists, stream state)``.  The block
+    is coordinate-major: it is the transpose of a C-order ``(n, m)`` buffer,
+    so each column's ``m`` draws are contiguous.
     """
     n = len(dists)
-    out = np.empty((m, n), dtype=float)
+    out = np.empty((n, m), dtype=float)
     for k, dist in enumerate(dists):
-        out[:, k] = dist.sampler(stream, m)
-    return out
+        out[k] = dist.sampler(stream, m)
+    return out.T
 
 
 def kernel_columns(dists, x: np.ndarray):
-    """Stein kernels ``(tau, tau')`` of column ``k`` of ``x`` under ``dists[k]``."""
+    """Stein kernels ``(tau, tau')`` of column ``k`` of ``x`` under ``dists[k]``.
+
+    Both results keep the memory layout of ``x``, so a coordinate-major
+    block gives coordinate-major kernels.
+    """
     tau = np.empty_like(x)
     taup = np.empty_like(x)
     for k, dist in enumerate(dists):

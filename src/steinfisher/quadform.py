@@ -62,13 +62,12 @@ def banded_coefficients(n: int, bandwidth: int = 1) -> CoefficientMatrix:
 
 @dataclass(frozen=True)
 class MatrixFunctionals:
-    """Matrix quantities entering the Berry-Esseen and Fisher-rate factors."""
+    """Matrix quantities entering the Fisher-rate factors."""
 
     sum_row4: float
     trace4: float
     lambda_min: float
     lambda_max: float
-    berry_factor: float
     structural_factor: float
 
 
@@ -85,7 +84,6 @@ def matrix_functionals(matrix: CoefficientMatrix) -> MatrixFunctionals:
         trace4=trace4,
         lambda_min=float(eigs[0]),
         lambda_max=float(eigs[-1]),
-        berry_factor=(math.sqrt(sum_row4) + math.sqrt(trace4)) / sigma2,
         structural_factor=(sum_row4 + trace4) / sigma2 ** 2,
     )
 
@@ -117,13 +115,19 @@ class QuadFormModel:
         """Score-pair arrays for a block of draws ``x`` of shape (m, n)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         a = self.matrix.entries
-        r = x @ a
-        f = 0.5 * (x * r).sum(axis=1)
+        # Coordinate-major throughout: rows of ``xt`` are coordinates, and
+        # A symmetric makes ``a @ xt`` the transpose of ``x @ a``.
+        xt = x.T
+        r = a @ xt
+        f = 0.5 * (xt * r).sum(axis=0)
         tau, taup = kernel_columns(self.dists, x)
-        theta = 0.5 * ((r ** 2) * tau).sum(axis=1)
-        lm = 0.5 * tau * r
-        grad_theta = (tau * r) @ a + 0.5 * taup * r ** 2
-        theta_theta_f = (grad_theta * lm).sum(axis=1)
+        tau, taup = tau.T, taup.T
+        r2 = r * r
+        tau_r = tau * r
+        theta = 0.5 * (r2 * tau).sum(axis=0)
+        grad_theta = a @ tau_r + 0.5 * taup * r2
+        # L_k Theta = tau_k r_k / 2
+        theta_theta_f = 0.5 * (grad_theta * tau_r).sum(axis=0)
         if self.standardize:
             f = f / self.sigma
             theta = theta / self.sigma2

@@ -129,9 +129,13 @@ class SampleMeanModel:
         n = self.n
         sigma = self.sigma
         sqrt_n = math.sqrt(n)
-        xbar = x.mean(axis=1)
+        # Coordinate-major: rows of ``xt`` are coordinates, reduced over axis 0.
+        xt = x.T
+        xbar = xt.mean(axis=0)
         tau, taup = kernel_columns(self.dists, x)
-        taubar = tau.mean(axis=1)
+        tau, taup = tau.T, taup.T
+        tau_sum = tau.sum(axis=0)
+        taubar = tau_sum / n
         hp0 = link.h_prime_at_0
         hp = link.h_prime(xbar)
         f = sqrt_n * (link.h(xbar) - self.mu_h) / sigma
@@ -139,8 +143,8 @@ class SampleMeanModel:
         nabla = hp0 * hp * taubar / sigma ** 2
         # sum_k (d_k nabla) L_k g_k with L_k g_k = hp0 tau_k / (sigma sqrt(n))
         d_common = hp0 * link.h_second(xbar) * taubar / n / sigma ** 2
-        second = (d_common * tau.sum(axis=1)
-                  + (hp0 * hp / n / sigma ** 2) * (taup * tau).sum(axis=1))
+        second = (d_common * tau_sum
+                  + (hp0 * hp / n / sigma ** 2) * (taup * tau).sum(axis=0))
         second = second * hp0 / (sigma * sqrt_n)
         return ScoreSample.represent(f, g_sum, nabla, second)
 

@@ -1,8 +1,12 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import steinfisher
 from steinfisher.distributions import (CHUNK, catalog_get, chunk_sizes,
                                        kernel_of_transformed, sample_columns)
 from steinfisher.errors import (MomentConditionViolated, NotCentered,
@@ -46,7 +50,6 @@ def test_density_normalization_and_moments(catalog_dist):
 
 def test_moment8_matches_quadrature(catalog_dist):
     d = catalog_dist
-    assert d.moment8_finite
     m8 = integrate(lambda x: np.abs(x) ** 8 * d.density(x), *d.quad_window,
                    tol=1e-10)
     # the x^8 weight amplifies the truncated density tail; allow 1e-6 rel
@@ -140,6 +143,35 @@ def test_sample_columns_is_deterministic():
     b = sample_columns(dists, substream(7, "cols"), 64)
     assert a.shape == (64, 4)
     assert np.array_equal(a, b)
+
+
+def test_sample_columns_is_coordinate_major_in_stream_order():
+    # student_t draws twice per column (normal, then chi-square), so the
+    # replay pins the order in which the stream is consumed.
+    dists = [catalog_get(n) for n in CATALOG_NAMES]
+    m = 257
+    x = sample_columns(dists, substream(8, "cols"), m)
+    assert x.shape == (m, len(dists)) and x.T.flags.c_contiguous
+    replay = substream(8, "cols")
+    for k, dist in enumerate(dists):
+        assert np.array_equal(x[:, k], dist.sampler(replay, m))
+
+
+def test_student_t_cdf_matches_scipy_stats():
+    from scipy import stats
+    scale = math.sqrt(18.0 / 20.0)
+    grid = np.linspace(-8.0, 8.0, 4001)
+    assert np.array_equal(catalog_get("student_t(20)").cdf(grid),
+                          stats.t.cdf(grid / scale, 20.0))
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = str(Path(steinfisher.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import steinfisher.cli; print('scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 @pytest.mark.parametrize("reps,size,expected", [

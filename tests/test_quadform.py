@@ -17,6 +17,8 @@ from steinfisher.quadform import (CoefficientMatrix, QuadFormModel,
                                   matrix_functionals)
 from steinfisher.streams import substream
 
+from conftest import CATALOG_NAMES, assert_block_layouts_agree
+
 
 def two_by_two():
     return CoefficientMatrix([[0.0, 1.0], [1.0, 0.0]])
@@ -84,6 +86,12 @@ def test_theta_mean_equals_sigma2():
     std_sample = draw_score_pairs(model, substream(41, "mean"), 50_000)
     se2 = std_sample.aux.std(ddof=1) / math.sqrt(len(std_sample))
     assert abs(std_sample.aux.mean() - 1.0) <= 3 * se2
+
+
+def test_evaluate_agrees_across_block_layouts():
+    dists = [catalog_get(name) for name in CATALOG_NAMES * 3]
+    model = QuadFormModel(banded_coefficients(len(dists), 2), dists)
+    assert_block_layouts_agree(model, seed=4)
 
 
 def test_theta_nonnegative_and_lower_bound():

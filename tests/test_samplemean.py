@@ -6,12 +6,15 @@ import pytest
 from steinfisher.distributions import catalog_get
 from steinfisher.errors import DegenerateVariance, InvalidInput
 from steinfisher.estimate import fisher_distance_upper
-from steinfisher.samplemean import (affine_sin_link, draw_score_pairs_sm,
+from steinfisher.samplemean import (SampleMeanModel, affine_sin_link,
+                                    draw_score_pairs_sm,
                                     identity_link, linear_sum_pairs,
                                     link_by_name, nabla_gradient, nabla_value,
                                     pre_pass, sample_mean_model, sin_link,
                                     tanh_link)
 from steinfisher.streams import substream
+
+from conftest import CATALOG_NAMES, assert_block_layouts_agree
 
 
 def test_link_parsing_and_bounds():
@@ -34,6 +37,14 @@ def test_link_derivative_bounds_on_grid(link_fn):
     assert np.all(np.abs(link.h_prime(xs)) <= link.sup_h_prime + 1e-12)
     assert np.all(np.abs(link.h_second(xs)) <= link.sup_h_second + 1e-12)
     assert link.h_prime(0.0) == pytest.approx(link.h_prime_at_0)
+
+
+@pytest.mark.parametrize("link_fn", [identity_link, sin_link, tanh_link])
+def test_evaluate_agrees_across_block_layouts(link_fn):
+    dists = tuple(catalog_get(name) for name in CATALOG_NAMES * 2)
+    model = SampleMeanModel(link=link_fn(), dists=dists, mu_h=0.01,
+                            sigma=0.9, pre_pass_se=(0.0, 0.0))
+    assert_block_layouts_agree(model, seed=3)
 
 
 def test_identity_link_reduces_to_normalized_sum():
