@@ -30,8 +30,9 @@ the whole run's.  ``STEINFISHER_THREADS`` caps shard-level worker
 threads (shards merge in fixed order either way).
 
 Exit codes: 0 success; 2 a config that cannot run, with field-level JSON on
-stderr (this includes a divergent negative moment and an all-zero matrix,
-found only once the run starts); 3 an estimate the program will not report:
+stderr (this includes a divergent negative moment, an all-zero matrix and a
+link whose pre-pass variance is zero or not finite, found only once the run
+starts); 3 an estimate the program will not report:
 guard-dominated draws, or a quadrature that missed its tolerance.
 """
 
@@ -50,9 +51,9 @@ import numpy as np
 
 from . import distances, estimate, moments, quadform, samplemean
 from .distributions import catalog_get, chunk_sizes
-from .errors import (ConfigError, DegenerateModel, GuardDominated,
-                     NotIntegrable, ParseError, QuadratureFailure,
-                     SteinFisherError)
+from .errors import (ConfigError, DegenerateModel, DegenerateVariance,
+                     GuardDominated, NotIntegrable, ParseError,
+                     QuadratureFailure, SteinFisherError)
 from .streams import substream
 
 SCHEMA_VERSION = "stein-fisher v1"
@@ -267,12 +268,6 @@ def _rate_rows(config, upper_rows):
 # ``fisher_upper`` row at ``n``.  Draw functions are looked up on their
 # modules at call time.
 
-def _sum_point(config, dist, n):
-    model = samplemean.sample_mean_model(samplemean.identity_link(),
-                                         [dist] * n, n)
-    return samplemean.draw_score_pairs_sm, model, []
-
-
 def _samplemean_point(config, dist, n):
     model = samplemean.sample_mean_model(
         samplemean.link_by_name(config.link), [dist] * n, n,
@@ -326,8 +321,9 @@ def _run_kernel_check(config: ExperimentConfig):
 
     t0 = time.monotonic()
     dist = catalog_get(config.dist)
-    lo = _quantile(dist, 0.0005)
-    hi = _quantile(dist, 0.9995)
+    # grid ends at the 0.05% and 99.95% quantiles, read off a tabulated CDF
+    xs = np.linspace(*dist.quad_window, 4097)
+    lo, hi = np.interp((0.0005, 0.9995), dist.cdf(xs), xs)
     grid = np.linspace(lo, hi, 50)
     diffs = [abs(float(dist.tau(x)) - tau_by_quadrature(dist, float(x)))
              for x in grid]
@@ -340,17 +336,6 @@ def _run_kernel_check(config: ExperimentConfig):
         ResultRow(estimator="tau_max_abs_diff", estimate=float(max(diffs)), **shared),
         ResultRow(estimator="e_tau_minus_1", estimate=float(etau - 1.0), **shared),
     ]
-
-
-def _quantile(dist, q: float) -> float:
-    lo, hi = dist.quad_window
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if float(dist.cdf(mid)) < q:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def _run_negmoment(config: ExperimentConfig):
@@ -387,7 +372,8 @@ def _run_convert(config: ExperimentConfig):
 
 
 _RUNNERS = {
-    "sum_rate": lambda config: _run_rate(config, _sum_point),
+    "sum_rate": lambda config: _run_rate(replace(config, link="identity"),
+                                         _samplemean_point),
     "samplemean_rate": lambda config: _run_rate(config, _samplemean_point),
     "quadform_rate": lambda config: _run_rate(config, _quadform_point),
     "kernel_check": _run_kernel_check,
@@ -516,6 +502,9 @@ def main(argv=None) -> int:
     except DegenerateModel as exc:
         print(_error_object("config", {"matrix_path": str(exc)}),
               file=sys.stderr)
+        return 2
+    except DegenerateVariance as exc:
+        print(_error_object("config", {"link": str(exc)}), file=sys.stderr)
         return 2
     except GuardDominated as exc:
         print(_error_object("guard_dominated", str(exc)), file=sys.stderr)

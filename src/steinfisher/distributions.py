@@ -16,8 +16,8 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import special
 
-from .errors import MomentConditionViolated, NotCentered, NotInCatalog
-from .quadrature import density_window, integrate
+from .errors import MomentConditionViolated, NotInCatalog
+from .quadrature import density_window
 
 CHUNK = 16384  # draws per block in every chunked draw loop
 
@@ -27,14 +27,12 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class SteinKernelForm:
-    """Stein kernel ``tau`` and its derivative.
+    """Closed-form Stein kernel ``tau`` and its derivative.
 
-    ``variant`` is ``"closed_form"`` for catalog laws and ``"numeric"`` for
-    kernels obtained by quadrature.  ``tau_prime_bound`` is an almost-sure
-    bound ``c`` with ``|tau'| <= c`` when one exists.
+    ``tau_prime_bound`` is an almost-sure bound ``c`` with ``|tau'| <= c``
+    when one exists.
     """
 
-    variant: str
     tau: Callable
     tau_prime: Callable
     tau_prime_bound: Optional[float] = None
@@ -60,7 +58,6 @@ class DistributionSpec:
     moment8: float
     cdf: Callable
     quad_window: tuple
-    pearson: Optional[tuple] = None  # (m, k, alpha1, alpha2, alpha3)
 
     @property
     def tau(self):
@@ -76,14 +73,13 @@ def _gaussian() -> DistributionSpec:
         x = np.asarray(x, dtype=float)
         return _INV_SQRT_2PI * np.exp(-0.5 * x * x)
 
-    spec = DistributionSpec(
+    return DistributionSpec(
         name="gaussian",
         support=(-math.inf, math.inf),
         density=density,
         log_density_derivative=lambda x: -np.asarray(x, dtype=float),
         sampler=lambda stream, size=None: stream.standard_normal(size),
         kernel_form=SteinKernelForm(
-            variant="closed_form",
             tau=lambda x: np.ones_like(np.asarray(x, dtype=float)),
             tau_prime=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
             tau_prime_bound=0.0,
@@ -91,9 +87,7 @@ def _gaussian() -> DistributionSpec:
         moment8=105.0,
         cdf=lambda x: special.ndtr(np.asarray(x, dtype=float)),
         quad_window=density_window(density, (-math.inf, math.inf)),
-        pearson=(1.0, 0.0, 0.0, 0.0, 1.0),
     )
-    return spec
 
 
 def _uniform() -> DistributionSpec:
@@ -114,7 +108,6 @@ def _uniform() -> DistributionSpec:
         log_density_derivative=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         sampler=sampler,
         kernel_form=SteinKernelForm(
-            variant="closed_form",
             tau=lambda x: 0.5 * (3.0 - np.square(np.asarray(x, dtype=float))),
             tau_prime=lambda x: -np.asarray(x, dtype=float),
             tau_prime_bound=_SQRT3,
@@ -122,7 +115,6 @@ def _uniform() -> DistributionSpec:
         moment8=9.0,
         cdf=lambda x: np.clip((np.asarray(x, dtype=float) - lo) / (hi - lo), 0.0, 1.0),
         quad_window=(lo, hi),
-        pearson=(0.0, 0.0, -0.5, 0.0, 1.5),
     )
 
 
@@ -145,7 +137,6 @@ def _exponential_centered() -> DistributionSpec:
         log_density_derivative=lambda y: -np.ones_like(np.asarray(y, dtype=float)),
         sampler=sampler,
         kernel_form=SteinKernelForm(
-            variant="closed_form",
             tau=lambda y: np.asarray(y, dtype=float) + 1.0,
             tau_prime=lambda y: np.ones_like(np.asarray(y, dtype=float)),
             tau_prime_bound=1.0,
@@ -153,7 +144,6 @@ def _exponential_centered() -> DistributionSpec:
         moment8=14833.0,  # E[(Exp(1) - 1)^8], the 8th derangement number
         cdf=cdf,
         quad_window=density_window(density, (-1.0, math.inf)),
-        pearson=(1.0, 1.0, 0.0, 1.0, 1.0),
     )
 
 
@@ -188,7 +178,6 @@ def _student_t(beta: float) -> DistributionSpec:
         log_density_derivative=score,
         sampler=sampler,
         kernel_form=SteinKernelForm(
-            variant="closed_form",
             tau=lambda x: (np.square(np.asarray(x, dtype=float)) + beta - 2.0) / (beta - 1.0),
             tau_prime=lambda x: 2.0 * np.asarray(x, dtype=float) / (beta - 1.0),
             tau_prime_bound=None,
@@ -196,8 +185,6 @@ def _student_t(beta: float) -> DistributionSpec:
         moment8=moment8,
         cdf=lambda x: special.stdtr(beta, np.asarray(x, dtype=float) / scale),
         quad_window=density_window(density, (-math.inf, math.inf)),
-        pearson=((beta + 1.0) / (beta - 1.0), 0.0,
-                 1.0 / (beta - 1.0), 0.0, (beta - 2.0) / (beta - 1.0)),
     )
 
 
@@ -227,41 +214,6 @@ def catalog_get(name: str) -> DistributionSpec:
         spec = _student_t(float(m.group(1)))
     _CACHE[key] = spec
     return spec
-
-
-def kernel_of_transformed(base: DistributionSpec, f, f_inverse, f_prime,
-                          *, tol=1e-11) -> SteinKernelForm:
-    """Stein kernel of ``X = f(Y)`` for an increasing differentiable ``f``.
-
-    ``f`` must be centered under the base law (``E[f(Y)] = 0``); the kernel
-    is evaluated by quadrature of ``f' (f^-1(x)) * int_{f^-1(x)}^inf f dP /
-    p(f^-1(x))`` and clipped at zero against quadrature noise.
-    """
-    wlo, whi = base.quad_window
-    mean_f = integrate(lambda y: f(y) * base.density(y), wlo, whi, tol=tol)
-    if abs(mean_f) > 1e-6:
-        raise NotCentered(f"E[f(Y)] = {mean_f:.3e} exceeds 1e-6; pre-center f")
-
-    def tau_scalar(x):
-        y0 = float(f_inverse(x))
-        y0 = min(max(y0, wlo), whi)
-        num = integrate(lambda y: f(y) * base.density(y), y0, whi, tol=tol)
-        den = float(base.density(y0))
-        return max(float(f_prime(y0)) * num / den, 0.0)
-
-    def tau(x):
-        arr = np.asarray(x, dtype=float)
-        if arr.ndim == 0:
-            return tau_scalar(float(arr))
-        return np.array([tau_scalar(v) for v in arr.ravel()]).reshape(arr.shape)
-
-    def tau_prime(x):
-        arr = np.asarray(x, dtype=float)
-        h = 1e-6 * (1.0 + np.abs(arr))
-        return (np.asarray(tau(arr + h)) - np.asarray(tau(arr - h))) / (2.0 * h)
-
-    return SteinKernelForm(variant="numeric", tau=tau, tau_prime=tau_prime,
-                           tau_prime_bound=None)
 
 
 def sample_columns(dists, stream, m: int) -> np.ndarray:

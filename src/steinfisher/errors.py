@@ -13,10 +13,6 @@ class MomentConditionViolated(SteinFisherError):
     """A catalog entry would violate its finite-moment requirements."""
 
 
-class NotCentered(SteinFisherError):
-    """A map that must have zero mean under the given law does not."""
-
-
 class QuadratureFailure(SteinFisherError):
     """Adaptive quadrature did not reach the requested tolerance."""
 
@@ -31,10 +27,6 @@ class DensityUnderflow(SteinFisherError):
 
 class NotIntegrable(SteinFisherError):
     """An improper integral diverges under the numeric decay probe."""
-
-
-class InvalidOrder(SteinFisherError):
-    """Moment order outside the allowed range."""
 
 
 class MissingKernelDerivativeBound(SteinFisherError):

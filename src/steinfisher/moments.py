@@ -1,6 +1,6 @@
 """Moment toolbox: negative moments via the MGF integral, the normalized
-negative-moment trend, the Marcinkiewicz-Zygmund bound, and the MGF bound
-available when the kernel derivative is almost surely bounded.
+negative-moment trend, and the MGF bound available when the kernel
+derivative is almost surely bounded.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .distributions import DistributionSpec
-from .errors import (InvalidInput, InvalidOrder, MissingKernelDerivativeBound,
-                     NotIntegrable)
+from .errors import InvalidInput, MissingKernelDerivativeBound, NotIntegrable
 from .quadrature import integrate, integrate_half_line
 
 # The factor product's local decay exponent is measured between these two
@@ -202,15 +201,6 @@ def ujmld_trend(law: NonnegativeLaw, alpha: float, n_grid,
         except NotIntegrable as exc:
             points.append(TrendPoint(n=n, value=None, note=str(exc)))
     return points
-
-
-def mz_bound(per_coordinate_norms, mean_abs: float, p: float) -> float:
-    """Right-hand side of the moment inequality
-    ``||U||_p^2 <= |E U|^2 + (p - 1) sum_k ||U - E_k U||_p^2``."""
-    if p < 2:
-        raise InvalidOrder("the inequality needs p >= 2")
-    norms = np.asarray(per_coordinate_norms, dtype=float)
-    return float(mean_abs ** 2 + (p - 1.0) * (norms ** 2).sum())
 
 
 @dataclass(frozen=True)

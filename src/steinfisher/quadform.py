@@ -91,19 +91,17 @@ def matrix_functionals(matrix: CoefficientMatrix) -> MatrixFunctionals:
 class QuadFormModel:
     """Quadratic form with per-coordinate laws carrying Stein kernels.
 
-    With ``standardize`` (the default) every draw is of ``F / sigma`` with
-    the normalizer and integrand rescaled consistently, which is the version
-    all rate experiments use.
+    Every draw is of ``F / sigma``, with the normalizer and integrand
+    rescaled consistently.
     """
 
-    def __init__(self, matrix: CoefficientMatrix, dists, standardize=True):
+    def __init__(self, matrix: CoefficientMatrix, dists):
         if len(dists) != matrix.n:
             raise InvalidInput("need one distribution per coordinate")
         if matrix.sigma2 <= 0.0:
             raise DegenerateModel("zero-variance quadratic form rejected")
         self.matrix = matrix
         self.dists = tuple(dists)
-        self.standardize = bool(standardize)
         self.sigma2 = matrix.sigma2
         self.sigma = math.sqrt(self.sigma2)
 
@@ -128,10 +126,9 @@ class QuadFormModel:
         grad_theta = a @ tau_r + 0.5 * taup * r2
         # L_k Theta = tau_k r_k / 2
         theta_theta_f = 0.5 * (grad_theta * tau_r).sum(axis=0)
-        if self.standardize:
-            f = f / self.sigma
-            theta = theta / self.sigma2
-            theta_theta_f = theta_theta_f / (self.sigma2 * self.sigma)
+        f = f / self.sigma
+        theta = theta / self.sigma2
+        theta_theta_f = theta_theta_f / (self.sigma2 * self.sigma)
         return ScoreSample.represent(f, f, theta, theta_theta_f)
 
     def theta_value(self, x) -> float:
@@ -146,7 +143,7 @@ class QuadFormModel:
         r = x @ a
         tau, taup = kernel_columns(self.dists, x)
         grad = ((tau * r) @ a + 0.5 * taup * r ** 2)[0]
-        return grad / self.sigma2 if self.standardize else grad
+        return grad / self.sigma2
 
 
 def draw_score_pairs(model: QuadFormModel, stream, reps: int) -> ScoreSample:

@@ -73,6 +73,8 @@ def tanh_link() -> SmoothLink:
 
 
 def affine_sin_link(a: float, b: float) -> SmoothLink:
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise InvalidInput("affine_sin needs finite coefficients")
     if a + b == 0.0:
         raise InvalidInput("affine_sin needs a + b != 0")
     return SmoothLink(
@@ -159,11 +161,15 @@ def pre_pass(link: SmoothLink, dists, n: int, reps: int, stream):
                          for m in chunk_sizes(reps, 65536)])
     mu = float(hv.mean())
     s2_h = float(hv.var(ddof=1))
+    m4 = float(((hv - mu) ** 4).mean())
     sigma2 = n * s2_h
     sigma = math.sqrt(sigma2)
+    if not (math.isfinite(sigma) and math.isfinite(m4)):
+        raise DegenerateVariance(
+            f"sigma = {sigma!r} or the fourth central moment {m4!r} of "
+            f"H(Xbar) is not finite")
     se_mu = math.sqrt(s2_h / reps)
     # Delta method: Var(s^2) ~ (m4 - s^4) / reps, then through sqrt(n * .).
-    m4 = float(((hv - mu) ** 4).mean())
     se_sigma2 = n * math.sqrt(max(m4 - s2_h ** 2, 0.0) / reps)
     se_sigma = se_sigma2 / (2.0 * sigma) if sigma > 0 else math.inf
     if sigma <= 3.0 * se_sigma:

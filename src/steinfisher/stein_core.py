@@ -1,5 +1,5 @@
-"""Operator toolbox: covariance identity, the coordinatewise transform
-``L_k``, and the quadrature oracles the test suite uses as ground truth.
+"""Operator toolbox: covariance identity and the quadrature oracles the
+test suite uses as ground truth.
 """
 
 from __future__ import annotations
@@ -8,10 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DistributionSpec, sample_columns
-from .errors import DensityUnderflow, InvalidInput, NotCentered
+from .distributions import DistributionSpec
+from .errors import DensityUnderflow
 from .quadrature import integrate
-from .streams import substream
 
 DENSITY_DIVIDE_FLOOR = 1e-300
 
@@ -54,21 +53,6 @@ def covariance_formula_check(dist: DistributionSpec, alpha, alpha_prime, beta,
     return CovarianceCheckReport(lhs=lhs, rhs=rhs, abs_diff=abs(lhs - rhs))
 
 
-def l_operator(dist: DistributionSpec, g, x: float, *, tol=1e-10,
-               centering_tol=1e-8) -> float:
-    """Tail transform ``int_x^inf g dP / p(x)`` for a centered ``g``."""
-    wlo, whi = dist.quad_window
-    mean_g = integrate(lambda y: g(y) * dist.density(y), wlo, whi, tol=tol)
-    if abs(mean_g) > centering_tol:
-        raise NotCentered(f"E[g(X)] = {mean_g:.3e} exceeds {centering_tol:.1e}")
-    px = float(dist.density(x))
-    if px < DENSITY_DIVIDE_FLOOR:
-        raise DensityUnderflow(f"density at x={x!r} is {px!r}")
-    if x >= whi:
-        return 0.0
-    return integrate(lambda y: g(y) * dist.density(y), max(x, wlo), whi, tol=tol) / px
-
-
 def tau_by_quadrature(dist: DistributionSpec, x: float, *, tol=1e-13) -> float:
     """Stein kernel at ``x`` straight from its defining tail integral.
 
@@ -84,66 +68,3 @@ def tau_by_quadrature(dist: DistributionSpec, x: float, *, tol=1e-13) -> float:
         return 0.0
     num = integrate(lambda y: (y - mean) * dist.density(y), max(x, wlo), whi, tol=tol)
     return num / px
-
-
-@dataclass(frozen=True)
-class DecompositionReport:
-    """Diagnostics for a candidate decomposition of a statistic.
-
-    ``sum_defect_max`` is the worst deviation of ``sum_k M_k`` from
-    ``F - EhatF`` over the Monte Carlo draws, where ``EhatF`` is estimated
-    as the empirical mean of ``F - sum_k M_k`` (exactly constant for a valid
-    decomposition, so the defect is zero up to rounding).  ``cond_means``
-    holds, per coordinate, quadrature values of ``E_k[M_k]`` with the other
-    coordinates frozen at random anchors.
-    """
-
-    sum_defect_max: float
-    ehat_f: float
-    cond_means: tuple
-    cond_mean_abs_max: float
-
-
-def decomposition_check(statistic, parts, dists, *, n_mc=200, seed=0,
-                        anchors=3, tol=1e-9) -> DecompositionReport:
-    """Check the two defining properties of a decomposition numerically."""
-    if len(parts) != len(dists):
-        raise InvalidInput("parts and dists must have equal length")
-    n = len(dists)
-    stream = substream(seed, "decomposition")
-    draws = sample_columns(dists, stream, int(n_mc))
-    f_vals = np.array([float(statistic(row)) for row in draws])
-    part_sums = np.array([
-        sum(float(part(row)) for part in parts) for row in draws
-    ])
-    resid = f_vals - part_sums
-    ehat_f = float(resid.mean())
-    sum_defect_max = float(np.max(np.abs(resid - ehat_f)))
-
-    anchor_rows = sample_columns(dists, stream, int(anchors))
-    cond_means = []
-    for k, dist in enumerate(dists):
-        wlo, whi = dist.quad_window
-        per_anchor = []
-        for row in anchor_rows:
-            frozen = row.copy()
-
-            def integrand(ts, _k=k, _frozen=frozen, _dist=dist):
-                ts = np.atleast_1d(np.asarray(ts, dtype=float))
-                vals = np.empty_like(ts)
-                for i, t in enumerate(ts):
-                    point = _frozen.copy()
-                    point[_k] = t
-                    vals[i] = float(parts[_k](point))
-                return vals * _dist.density(ts)
-
-            per_anchor.append(integrate(integrand, wlo, whi, tol=tol))
-        cond_means.append(tuple(per_anchor))
-    cond_means = tuple(cond_means)
-    cond_mean_abs_max = float(max(abs(v) for row in cond_means for v in row))
-    return DecompositionReport(
-        sum_defect_max=sum_defect_max,
-        ehat_f=ehat_f,
-        cond_means=cond_means,
-        cond_mean_abs_max=cond_mean_abs_max,
-    )

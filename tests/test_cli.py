@@ -222,6 +222,24 @@ def test_runtime_errors_exit_2_with_field(tmp_path, capsys, argv, field):
     assert payload["error"] == "config" and field in payload["detail"]
 
 
+# A zero pre-pass variance, an infinite coefficient and an infinite sigma:
+# none of them has a finite estimate to report.
+@pytest.mark.parametrize("link", ["affine_sin(1e-300,1e-300)",
+                                  "affine_sin(1e999,1)",
+                                  "affine_sin(1e200,1e200)"])
+def test_extreme_affine_sin_links_exit_2_with_link(tmp_path, capsys, link):
+    out = tmp_path / "o.csv"
+    argv = ["run", "--experiment", "samplemean_rate", "--dist", "uniform",
+            "--n-grid", "8", "--reps", "1000", "--link", link,
+            "--out-path", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert payload["error"] == "config" and "link" in payload["detail"]
+    assert not out.exists()
+
+
 CATALOG_LAWS = ("gaussian", "uniform", "exponential_centered", "student_t(20)")
 
 

@@ -8,9 +8,8 @@ import pytest
 
 import steinfisher
 from steinfisher.distributions import (CHUNK, catalog_get, chunk_sizes,
-                                       kernel_of_transformed, sample_columns)
-from steinfisher.errors import (MomentConditionViolated, NotCentered,
-                                NotInCatalog)
+                                       sample_columns)
+from steinfisher.errors import MomentConditionViolated, NotInCatalog
 from steinfisher.quadrature import integrate
 from steinfisher.stein_core import tau_by_quadrature
 from steinfisher.streams import substream
@@ -77,7 +76,6 @@ def test_kernel_nonnegative_and_unit_mean(catalog_dist):
 
 def test_closed_form_kernels_match_quadrature(catalog_dist):
     d = catalog_dist
-    assert d.kernel_form.variant == "closed_form"
     qs = np.linspace(0.05, 0.95, 19)
     # interior grid; the oracle integral loses no accuracy away from edges
     grid = np.quantile(d.sampler(substream(5, "grid", d.name), 50_000), qs)
@@ -86,55 +84,17 @@ def test_closed_form_kernels_match_quadrature(catalog_dist):
 
 
 def test_pearson_ode(catalog_dist):
+    # Stein-Pearson ODE: (tau p)' = -x p, so rho = -(x + tau') / tau, with
+    # tau a quadratic for every catalog law
     d = catalog_dist
-    m, k, a1, a2, a3 = d.pearson
     lo, hi = d.quad_window
     span = hi - lo
     xs = np.linspace(lo + 0.05 * span, hi - 0.05 * span, 25)
-    denom = a1 * xs ** 2 + a2 * xs + a3
+    tau = d.tau(xs)
     lhs = d.log_density_derivative(xs)
-    assert np.max(np.abs(lhs + (m * xs + k) / denom)) <= 1e-6
-    # the Stein formula's coefficient constraints
-    assert m == pytest.approx(2 * a1 + 1, abs=1e-12)
-    assert k == pytest.approx(a2, abs=1e-12)
-    tau_grid = d.tau(xs)
-    assert np.max(np.abs(tau_grid - denom)) <= 1e-10
-
-
-def test_transformed_kernel_identity_map():
-    g = catalog_get("gaussian")
-    form = kernel_of_transformed(g, lambda y: y, lambda x: x,
-                                 lambda y: np.ones_like(np.asarray(y, float)))
-    assert form.variant == "numeric"
-    for x in (-1.3, 0.0, 0.4, 2.1):
-        assert form.tau(x) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_transformed_kernel_scaling():
-    g = catalog_get("gaussian")
-    sigma = 2.0
-    form = kernel_of_transformed(
-        g, lambda y: sigma * np.asarray(y, float), lambda x: x / sigma,
-        lambda y: np.full_like(np.asarray(y, float), sigma))
-    # scaling multiplies the kernel by sigma^2 (quadrature oracle)
-    assert form.tau(0.0) == pytest.approx(4.0, abs=1e-8)
-
-
-def test_transformed_kernel_exponential_identity():
-    e = catalog_get("exponential_centered")
-    form = kernel_of_transformed(e, lambda y: np.asarray(y, float), lambda x: x,
-                                 lambda y: np.ones_like(np.asarray(y, float)))
-    assert form.tau(1.0) == pytest.approx(2.0, abs=1e-8)
-    # numeric derivative should track tau' = 1
-    assert form.tau_prime(0.5) == pytest.approx(1.0, abs=1e-4)
-
-
-def test_transformed_kernel_rejects_uncentered():
-    g = catalog_get("gaussian")
-    with pytest.raises(NotCentered):
-        kernel_of_transformed(g, lambda y: np.asarray(y, float) + 0.5,
-                              lambda x: x - 0.5,
-                              lambda y: np.ones_like(np.asarray(y, float)))
+    assert np.max(np.abs(lhs + (xs + d.tau_prime(xs)) / tau)) <= 1e-6
+    quadratic = np.polynomial.Polynomial.fit(xs, tau, 2)
+    assert np.max(np.abs(quadratic(xs) - tau)) <= 1e-10
 
 
 def test_sample_columns_is_deterministic():

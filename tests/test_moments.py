@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 from steinfisher import moments
 from steinfisher.distributions import catalog_get
-from steinfisher.errors import (InvalidInput, InvalidOrder,
-                                MissingKernelDerivativeBound, NotIntegrable)
+from steinfisher.errors import (InvalidInput, MissingKernelDerivativeBound,
+                                NotIntegrable)
 from steinfisher.moments import (MgfCheckPoint, NegMomentQuery, NonnegativeLaw,
-                                 mgf_bound_check, mz_bound, negative_moment,
-                                 ujmld_trend)
+                                 mgf_bound_check, negative_moment, ujmld_trend)
 from steinfisher.streams import substream
 
 GAUSS_SQ = NonnegativeLaw.square_of(catalog_get("gaussian"))
@@ -193,34 +192,6 @@ def test_trend_skips_divergent_points():
     points = ujmld_trend(GAUSS_SQ, 8.0, [4, 32])
     assert points[0].value is None and "decays" in points[0].note
     assert points[1].value is not None
-
-
-def test_mz_bound_examples():
-    n = 8
-    # linear statistic at p = 2: equality with ||S_n||_2^2 = 1
-    norms = [1.0 / math.sqrt(n)] * n
-    assert mz_bound(norms, 0.0, 2.0) == pytest.approx(1.0)
-
-    # uniform sums at p = 4: ||X_k / sqrt(n)||_4 = (E X^4)^(1/4) / sqrt(n)
-    u = catalog_get("uniform")
-    norm4 = (9.0 / 5.0) ** 0.25 / math.sqrt(n)
-    bound = mz_bound([norm4] * n, 0.0, 4.0)
-    assert bound == pytest.approx(3.0 * math.sqrt(9.0 / 5.0))
-    draws = u.sampler(substream(41, "mz"), (200_000, n))
-    s = draws.sum(axis=1) / math.sqrt(n)
-    mc_norm_sq = float(np.sqrt((s ** 4).mean()))
-    assert mc_norm_sq <= bound
-
-    # product of two gaussians at p = 8: ||X1 X2||_8 = 105^(1/4)
-    g = catalog_get("gaussian")
-    bound8 = mz_bound([105.0 ** 0.25] * 2, 0.0, 8.0)
-    assert bound8 == pytest.approx(14.0 * math.sqrt(105.0))
-    z = g.sampler(substream(43, "mz8"), (400_000, 2))
-    mc8 = float(((z[:, 0] * z[:, 1]) ** 8).mean() ** 0.25)
-    assert mc8 <= bound8
-
-    with pytest.raises(InvalidOrder):
-        mz_bound([1.0], 0.0, 1.5)
 
 
 def test_mgf_bound_uniform_grid():

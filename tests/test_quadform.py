@@ -78,11 +78,12 @@ def test_decomposition_identity_per_draw():
 
 
 def test_theta_mean_equals_sigma2():
+    # E[Theta] = sigma^2, so the standardized normalizer Theta / sigma^2
+    # has unit mean
     model = random_model(5, "uniform", seed=17)
-    raw = QuadFormModel(model.matrix, model.dists, standardize=False)
-    sample = draw_score_pairs(raw, substream(41, "mean"), 100_000)
+    sample = draw_score_pairs(model, substream(41, "mean"), 100_000)
     se = sample.aux.std(ddof=1) / math.sqrt(len(sample))
-    assert abs(sample.aux.mean() - model.sigma2) <= 3 * se
+    assert abs(sample.aux.mean() - 1.0) <= 3 * se
     std_sample = draw_score_pairs(model, substream(41, "mean"), 50_000)
     se2 = std_sample.aux.std(ddof=1) / math.sqrt(len(std_sample))
     assert abs(std_sample.aux.mean() - 1.0) <= 3 * se2
@@ -101,10 +102,10 @@ def test_theta_nonnegative_and_lower_bound():
         lam_min = matrix_functionals(model.matrix).lambda_min
         stream = substream(51, "bound", name)
         x = np.column_stack([d.sampler(stream, 2000) for d in model.dists])
-        sample = QuadFormModel(model.matrix, model.dists,
-                               standardize=False).evaluate(x)
+        sample = model.evaluate(x)
         assert np.all(sample.aux >= 0.0)
-        lower = 0.5 * tau0 * lam_min * (x ** 2).sum(axis=1)
+        # the draws carry Theta / sigma^2, so the bound is scaled alike
+        lower = 0.5 * tau0 * lam_min * (x ** 2).sum(axis=1) / model.sigma2
         assert np.all(sample.aux >= lower - 1e-12)
 
 

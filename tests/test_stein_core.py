@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from steinfisher.distributions import catalog_get
-from steinfisher.errors import DensityUnderflow, NotCentered
+from steinfisher.errors import DensityUnderflow
 from steinfisher.quadrature import integrate
-from steinfisher.stein_core import (covariance_formula_check,
-                                    decomposition_check, l_operator)
-from steinfisher.streams import substream
+from steinfisher.stein_core import covariance_formula_check, tau_by_quadrature
 
 SQRT3 = math.sqrt(3.0)
 
@@ -96,59 +94,18 @@ def test_boundary_decay_of_tail_integral(catalog_dist):
     assert tails[2] <= 1e-5
 
 
-def test_l_operator_examples():
+def test_tau_by_quadrature_examples():
+    # the tail transform L applied to the identity: tau(0) = 1 for gaussian,
+    # (3 - 1) / 2 = 1 at x = 1 for uniform, x + 1 = 3 at x = 2 for exponential
     g = catalog_get("gaussian")
     u = catalog_get("uniform")
     e = catalog_get("exponential_centered")
-    ident = lambda y: np.asarray(y, dtype=float)
-    assert l_operator(g, ident, 0.0) == pytest.approx(1.0, abs=1e-9)
-    assert l_operator(u, ident, 1.0) == pytest.approx(1.0, abs=1e-9)
-    assert l_operator(e, ident, 2.0) == pytest.approx(3.0, abs=1e-9)
+    assert tau_by_quadrature(g, 0.0) == pytest.approx(1.0, abs=1e-9)
+    assert tau_by_quadrature(u, 1.0) == pytest.approx(1.0, abs=1e-9)
+    assert tau_by_quadrature(e, 2.0) == pytest.approx(3.0, abs=1e-9)
 
 
-def test_l_operator_equals_tau_on_grid(catalog_dist):
-    d = catalog_dist
-    ident = lambda y: np.asarray(y, dtype=float)
-    draws = d.sampler(substream(17, "lgrid", d.name), 50_000)
-    grid = np.quantile(draws, np.linspace(0.05, 0.95, 9))
-    for x in grid:
-        assert l_operator(d, ident, float(x), tol=1e-12) == pytest.approx(
-            float(d.tau(x)), abs=1e-8)
-
-
-def test_l_operator_guards():
+def test_tau_by_quadrature_guards():
     g = catalog_get("gaussian")
-    with pytest.raises(NotCentered):
-        l_operator(g, lambda y: np.asarray(y, float) + 1.0, 0.0)
     with pytest.raises(DensityUnderflow):
-        l_operator(g, lambda y: np.asarray(y, float), 60.0)
-
-
-def test_decomposition_check_quadform_product():
-    g = catalog_get("gaussian")
-    statistic = lambda x: x[0] * x[1]
-    parts = [lambda x: 0.5 * x[0] * x[1], lambda x: 0.5 * x[1] * x[0]]
-    rep = decomposition_check(statistic, parts, [g, g], n_mc=400, seed=3)
-    assert rep.sum_defect_max <= 1e-12
-    assert rep.cond_mean_abs_max <= 1e-9
-
-
-def test_decomposition_check_linear_statistic():
-    u = catalog_get("uniform")
-    n = 4
-    statistic = lambda x: x.sum() / math.sqrt(n)
-    parts = [
-        (lambda k: (lambda x: x[k] / math.sqrt(n)))(k) for k in range(n)
-    ]
-    rep = decomposition_check(statistic, parts, [u] * n, n_mc=300, seed=4)
-    assert rep.sum_defect_max <= 1e-12
-    assert rep.cond_mean_abs_max <= 1e-9
-
-
-def test_decomposition_check_negative_control():
-    g = catalog_get("gaussian")
-    n = 3
-    statistic = lambda x: x.sum()
-    parts = [lambda x: x[0], lambda x: x[1], lambda x: 0.0]  # missing M_3
-    rep = decomposition_check(statistic, parts, [g] * n, n_mc=300, seed=5)
-    assert rep.sum_defect_max > 0.1
+        tau_by_quadrature(g, 60.0)
