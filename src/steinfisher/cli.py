@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -143,8 +144,9 @@ def validate(config: ExperimentConfig) -> dict:
     if config.experiment == "convert":
         if config.fisher_value is None:
             problems["fisher_value"] = "convert requires fisher_value"
-        elif config.fisher_value < 0:
-            problems["fisher_value"] = "must be nonnegative"
+        elif not (math.isfinite(config.fisher_value)
+                  and config.fisher_value >= 0):
+            problems["fisher_value"] = "must be finite and nonnegative"
     else:
         grid = config.n_grid
         if not grid:
@@ -173,8 +175,8 @@ def validate(config: ExperimentConfig) -> dict:
         problems["out_path"] = f"directory is not writable: {out_dir}"
     if config.matrix_path is not None and not os.path.exists(config.matrix_path):
         problems["matrix_path"] = f"no such file: {config.matrix_path}"
-    if config.alpha <= 0:
-        problems["alpha"] = "must be positive"
+    if not (math.isfinite(config.alpha) and config.alpha > 0):
+        problems["alpha"] = "must be finite and positive"
     return problems
 
 

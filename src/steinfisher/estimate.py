@@ -201,17 +201,29 @@ class DensityEstimate:
 
 
 def density_representation(sample, x_grid) -> DensityEstimate:
-    """Estimate the density of ``F`` as ``mean(1{F > x} * H)`` on a grid."""
+    """Estimate the density of ``F`` as ``mean(1{F > x} * H)`` on a grid.
+
+    Each draw's cell index counts the grid points below it, so ``f > x_j``
+    exactly when the index exceeds ``j``; per-cell sums of ``h`` and ``h^2``,
+    summed from the right, give every grid point in O(m log G).
+    """
     sample = _checked(sample, 10 ** 4)
-    f, h = sample.unguarded()
     grid = np.asarray(x_grid, dtype=float)
+    if grid.ndim != 1 or grid.size < 2:
+        raise InvalidInput("x_grid must be 1-D with at least 2 points")
+    if not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0.0):
+        raise InvalidInput("x_grid must be finite and strictly increasing")
+    f, h = sample.unguarded()
     m = f.size
-    values = np.empty(grid.size)
-    ses = np.empty(grid.size)
-    for j, x in enumerate(grid):
-        w = np.where(f > x, h, 0.0)
-        values[j] = w.mean()
-        ses[j] = w.std(ddof=1) / math.sqrt(m)
+    cells = np.searchsorted(grid, f, side="left")
+
+    def sum_above(w):
+        per_cell = np.bincount(cells, weights=w, minlength=grid.size + 1)
+        return np.cumsum(per_cell[::-1])[-2::-1]
+
+    s1, s2 = sum_above(h), sum_above(h * h)
+    values = s1 / m
+    ses = np.sqrt(np.maximum((s2 - s1 * values) / (m - 1), 0.0)) / math.sqrt(m)
 
     # Histogram comparator on cells centered at the grid points.
     mids = 0.5 * (grid[1:] + grid[:-1])

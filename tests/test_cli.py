@@ -209,6 +209,10 @@ def test_cli_flag_overrides(tmp_path):
       "--out-path", "/nonexistent/dir/x.csv"], "out_path"),
     (["--experiment", "quadform_rate", "--n-grid", "2",
       "--matrix-path", "{zero_matrix}"], "matrix_path"),
+    (["--experiment", "convert", "--fisher-value", "nan"], "fisher_value"),
+    (["--experiment", "convert", "--fisher-value", "inf"], "fisher_value"),
+    (["--experiment", "negmoment", "--n-grid", "8", "--alpha", "nan"], "alpha"),
+    (["--experiment", "negmoment", "--n-grid", "8", "--alpha", "inf"], "alpha"),
 ])
 def test_runtime_errors_exit_2_with_field(tmp_path, capsys, argv, field):
     zero_matrix = write(tmp_path, "zero.mat", "2\n0 0\n0 0\n")

@@ -150,6 +150,47 @@ def test_density_representation_gaussian():
     assert np.all(gap <= bars)
 
 
+def test_density_representation_matches_per_point_definition():
+    # the brute-force definition, one pass per grid point, against the
+    # bucketed estimator: draws sit exactly on grid points (strict >), the
+    # grid overhangs both ends of the draws, and a few draws are guarded
+    rng = np.random.default_rng(5)
+    m = 20_000
+    grid = np.linspace(-6.0, 6.0, 61)
+    f = np.clip(rng.standard_normal(m), -4.5, 4.5)
+    f[:2000] = grid[rng.integers(10, 51, size=2000)]
+    h = -f + 0.3 * rng.standard_normal(m)
+    guarded = np.zeros(m, dtype=bool)
+    guarded[rng.choice(m, size=60, replace=False)] = True
+    h[guarded] = np.nan
+    sample = ScoreSample(f=f, h=h, aux=np.ones(m), guarded=guarded)
+    de = density_representation(sample, grid)
+
+    fu, hu = f[~guarded], h[~guarded]
+    want_values = np.empty(grid.size)
+    want_ses = np.empty(grid.size)
+    assert np.isin(fu, grid).sum() >= 1000
+    for j, x in enumerate(grid):
+        w = np.where(fu > x, hu, 0.0)
+        want_values[j] = w.mean()
+        want_ses[j] = w.std(ddof=1) / math.sqrt(w.size)
+    assert np.max(np.abs(de.values - want_values)) <= 1e-12
+    np.testing.assert_allclose(de.std_errors, want_ses, rtol=1e-12, atol=0.0)
+    # past the largest draw no indicator is on
+    assert grid[0] < fu.min() and grid[-1] > fu.max()
+    assert de.values[-1] == 0.0 and de.std_errors[-1] == 0.0
+
+
+@pytest.mark.parametrize("grid", [
+    [], [0.0], [1.0, 0.0], [0.0, 0.0, 1.0], [0.0, np.nan, 1.0],
+    [0.0, np.inf], [[0.0, 1.0], [2.0, 3.0]],
+])
+def test_density_representation_rejects_bad_grids(grid):
+    sample = gaussian_sum_sample(reps=20_000)
+    with pytest.raises(InvalidInput):
+        density_representation(sample, grid)
+
+
 def irwin_hall_sum_density(s, n):
     """Exact density of sum(X_i) / sqrt(n) for standardized uniform X_i."""
     s = np.asarray(s, dtype=float)
