@@ -62,6 +62,7 @@ CSV_COLUMNS = ("experiment", "n", "reps", "seed", "estimator", "estimate",
                "standard_error", "guarded_fraction", "wall_time_ms")
 RATE_EXPERIMENTS = ("sum_rate", "samplemean_rate", "quadform_rate")
 EXPERIMENTS = RATE_EXPERIMENTS + ("kernel_check", "negmoment", "convert")
+GRID_EXPERIMENTS = RATE_EXPERIMENTS + ("negmoment",)  # those that read n_grid
 
 
 @dataclass(frozen=True)
@@ -147,7 +148,7 @@ def validate(config: ExperimentConfig) -> dict:
         elif not (math.isfinite(config.fisher_value)
                   and config.fisher_value >= 0):
             problems["fisher_value"] = "must be finite and nonnegative"
-    else:
+    if config.experiment in GRID_EXPERIMENTS:
         grid = config.n_grid
         if not grid:
             problems["n_grid"] = "at least one n is required"

@@ -127,16 +127,32 @@ class SampleMeanModel:
 
     def evaluate(self, x: np.ndarray) -> ScoreSample:
         """Score-pair arrays for a block of draws ``x`` of shape (m, n)."""
+        return self.reduce_columns(x.T)
+
+    def reduce_columns(self, columns) -> ScoreSample:
+        """Score-pair arrays from the draws' coordinate columns.
+
+        ``columns`` yields one length-m column per coordinate, in order
+        0..n-1.  Each column is folded into three running sums (Σx_k, Στ_k
+        and Στ'_k·τ_k) and dropped, so the (m, n) block of draws and its
+        kernels are never held; adding in coordinate order is numpy's
+        axis-0 reduction of the coordinate-major block, to the bit.
+        """
+        sums = None
+        for dist, col in zip(self.dists, columns):
+            tau = dist.tau(col)
+            terms = (col, tau, dist.tau_prime(col) * tau)
+            if sums is None:
+                sums = [np.array(t, dtype=float) for t in terms]
+            else:
+                for acc, t in zip(sums, terms):
+                    acc += t
+        x_sum, tau_sum, tt_sum = sums
         link = self.link
         n = self.n
         sigma = self.sigma
         sqrt_n = math.sqrt(n)
-        # Coordinate-major: rows of ``xt`` are coordinates, reduced over axis 0.
-        xt = x.T
-        xbar = xt.mean(axis=0)
-        tau, taup = kernel_columns(self.dists, x)
-        tau, taup = tau.T, taup.T
-        tau_sum = tau.sum(axis=0)
+        xbar = x_sum / n
         taubar = tau_sum / n
         hp0 = link.h_prime_at_0
         hp = link.h_prime(xbar)
@@ -145,8 +161,7 @@ class SampleMeanModel:
         nabla = hp0 * hp * taubar / sigma ** 2
         # sum_k (d_k nabla) L_k g_k with L_k g_k = hp0 tau_k / (sigma sqrt(n))
         d_common = hp0 * link.h_second(xbar) * taubar / n / sigma ** 2
-        second = (d_common * tau_sum
-                  + (hp0 * hp / n / sigma ** 2) * (taup * tau).sum(axis=0))
+        second = d_common * tau_sum + (hp0 * hp / n / sigma ** 2) * tt_sum
         second = second * hp0 / (sigma * sqrt_n)
         return ScoreSample.represent(f, g_sum, nabla, second)
 
@@ -180,6 +195,8 @@ def pre_pass(link: SmoothLink, dists, n: int, reps: int, stream):
 
 def _normalize_dists(dists, n: Optional[int] = None):
     seq = tuple(dists)
+    if not seq:
+        raise InvalidInput("need at least one coordinate law")
     if n is not None and len(seq) != n:
         raise InvalidInput(f"need {n} coordinate laws, got {len(seq)}")
     return seq
@@ -206,7 +223,8 @@ def sample_mean_model(link: SmoothLink, dists, n: Optional[int] = None, *,
 
 def draw_score_pairs_sm(model: SampleMeanModel, stream, reps: int) -> ScoreSample:
     """``reps`` score pairs drawn in fixed-size chunks from one stream."""
-    blocks = [model.evaluate(sample_columns(model.dists, stream, m))
+    blocks = [model.reduce_columns(dist.sampler(stream, m)
+                                   for dist in model.dists)
               for m in chunk_sizes(reps)]
     return ScoreSample.concat(blocks)
 

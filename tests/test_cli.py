@@ -112,6 +112,18 @@ def test_kernel_check_rows(tmp_path):
     assert abs(by_name["e_tau_minus_1"]) <= 1e-8
 
 
+def test_kernel_check_needs_no_grid(tmp_path, monkeypatch):
+    # kernel_check never reads n_grid, so leaving it out is not an error
+    # and passing one changes no byte of the output.
+    monkeypatch.chdir(tmp_path)
+    argv = ["run", "--experiment", "kernel_check", "--dist", "uniform"]
+    assert main([*argv, "--out-path", "kc.csv"]) == 0
+    assert main([*argv, "--n-grid", "1", "--out-path", "kc1.csv"]) == 0
+    text = (tmp_path / "kc.csv").read_bytes()
+    assert text.startswith(b"# stein-fisher v1\n")
+    assert text == (tmp_path / "kc1.csv").read_bytes()
+
+
 def test_quadform_rate_banded_family(tmp_path):
     cfg = ExperimentConfig(experiment="quadform_rate", dist="gaussian",
                            n_grid=(8, 16, 32, 64), reps=4000, seed=2,

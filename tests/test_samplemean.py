@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from steinfisher.distributions import catalog_get
+from steinfisher.distributions import (CHUNK, catalog_get, chunk_sizes,
+                                       sample_columns)
 from steinfisher.errors import DegenerateVariance, InvalidInput
-from steinfisher.estimate import fisher_distance_upper
+from steinfisher.estimate import ScoreSample, fisher_distance_upper
 from steinfisher.samplemean import (SampleMeanModel, affine_sin_link,
                                     draw_score_pairs_sm,
                                     identity_link, linear_sum_pairs,
@@ -27,6 +29,11 @@ def test_link_parsing_and_bounds():
         link_by_name("cosine")
     with pytest.raises(InvalidInput):
         affine_sin_link(1.0, -1.0)  # H'(0) = 0
+
+
+def test_model_needs_a_coordinate():
+    with pytest.raises(InvalidInput):
+        sample_mean_model(identity_link(), [])
 
 
 @pytest.mark.parametrize("link_fn", [sin_link, tanh_link,
@@ -55,7 +62,6 @@ def test_identity_link_reduces_to_normalized_sum():
     draws_again = draw_score_pairs_sm(model, substream(2, "lin"), 4000)
     assert np.array_equal(sample.f, draws_again.f)
     # reproduce S_n and mean(tau) from the raw draws
-    from steinfisher.distributions import sample_columns
     x = sample_columns(model.dists, substream(2, "lin"), 4000)
     s_n = x.sum(axis=1) / math.sqrt(n)
     assert np.max(np.abs(sample.f - s_n)) <= 1e-12
@@ -185,6 +191,38 @@ def test_score_identity_expectation_nonlinear_link():
     diff = 1.0 / np.cosh(sample.f) ** 2 - np.tanh(sample.f) * sample.h
     se = diff.std(ddof=1) / math.sqrt(diff.size)
     assert abs(diff.mean()) <= 3.5 * se
+
+
+@pytest.mark.parametrize("link_fn", [identity_link, sin_link, tanh_link])
+def test_streamed_draw_matches_block_evaluate(link_fn):
+    # student_t(20) draws twice per column, so a column drawn out of
+    # turn would shift every later draw.
+    dists = tuple(catalog_get(name) for name in CATALOG_NAMES * 3)
+    model = SampleMeanModel(link=link_fn(), dists=dists, mu_h=0.01,
+                            sigma=0.9, pre_pass_se=(0.0, 0.0))
+    reps = 2 * CHUNK + 777
+    streamed = draw_score_pairs_sm(model, substream(20, "stream"), reps)
+    replay = substream(20, "stream")
+    block = ScoreSample.concat([model.evaluate(sample_columns(dists, replay, m))
+                                for m in chunk_sizes(reps)])
+    assert np.array_equal(streamed.f, block.f)
+    assert np.array_equal(streamed.h, block.h, equal_nan=True)
+    assert np.array_equal(streamed.aux, block.aux)
+    assert np.array_equal(streamed.guarded, block.guarded)
+
+
+def test_draw_memory_is_bounded_by_columns():
+    # One m x n float64 block at n = 128 is 16.8 MB; the streamed draw
+    # holds a few length-m columns instead.
+    n = 128
+    model = sample_mean_model(identity_link(), [catalog_get("uniform")] * n, n)
+    tracemalloc.start()
+    try:
+        draw_score_pairs_sm(model, substream(21, "mem"), CHUNK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * CHUNK * n * 8
 
 
 def test_draw_score_pair_sm_single():
