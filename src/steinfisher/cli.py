@@ -185,8 +185,9 @@ def parse_matrix(path: str) -> quadform.CoefficientMatrix:
     """Parse and strictly validate the plain-text matrix format.
 
     First line is the dimension ``n``; each of the next ``n`` lines holds
-    ``n`` whitespace-separated reals.  Asymmetry, a nonzero diagonal, or a
-    dimension mismatch raise :class:`ParseError` with the offending line.
+    ``n`` whitespace-separated finite reals.  A non-finite entry, asymmetry,
+    a nonzero diagonal, or a dimension mismatch raise :class:`ParseError`
+    with the offending line.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -216,6 +217,8 @@ def parse_matrix(path: str) -> quadform.CoefficientMatrix:
                              line=lineno)
     a = np.array(rows)
     for i in range(n):
+        if not np.isfinite(a[i]).all():
+            raise ParseError(f"non-finite entry in row: {lines[i + 1]!r}", line=i + 2)
         if a[i, i] != 0.0:
             raise ParseError(f"diagonal entry a[{i}][{i}] = {a[i, i]} must be 0",
                              line=i + 2)
@@ -254,16 +257,21 @@ def _ms_since(t0: float) -> int:
     return int(round((time.monotonic() - t0) * 1000.0))
 
 
+def _exact_rows(config, n, reps, wall_time_ms, values) -> list:
+    """Rows for ``(estimator, estimate)`` pairs that are computed, not
+    sampled: no standard error and no guarded draws."""
+    return [ResultRow(experiment=config.experiment, n=n, reps=reps,
+                      seed=config.seed, estimator=name, estimate=value,
+                      standard_error=0.0, guarded_fraction=0.0,
+                      wall_time_ms=wall_time_ms) for name, value in values]
+
+
 def _rate_rows(config, upper_rows):
     fit = estimate.fit_rate([r.n for r in upper_rows],
                             [r.estimate for r in upper_rows])
-    shared = dict(experiment=config.experiment, n=0, reps=config.reps,
-                  seed=config.seed, standard_error=0.0, guarded_fraction=0.0)
-    return [
-        ResultRow(estimator="rate_fit_slope", estimate=fit.slope, **shared),
-        ResultRow(estimator="rate_fit_intercept", estimate=fit.intercept, **shared),
-        ResultRow(estimator="rate_fit_r2", estimate=fit.r_squared, **shared),
-    ]
+    return _exact_rows(config, 0, config.reps, 0, [
+        ("rate_fit_slope", fit.slope), ("rate_fit_intercept", fit.intercept),
+        ("rate_fit_r2", fit.r_squared)])
 
 
 # Rate-experiment points: ``point(config, dist, n)`` returns the draw
@@ -289,12 +297,9 @@ def _quadform_point(config, dist, n):
             raise ConfigError({"n_grid": (
                 f"with matrix_path the grid must equal ({matrix.n},)")})
     model = quadform.QuadFormModel(matrix, [dist] * n)
-    factor = ResultRow(
-        experiment=config.experiment, n=n, reps=config.reps, seed=config.seed,
-        estimator="structural_factor",
-        estimate=quadform.matrix_functionals(matrix).structural_factor,
-        standard_error=0.0, guarded_fraction=0.0)
-    return quadform.draw_score_pairs, model, [factor]
+    factor = quadform.matrix_functionals(matrix).structural_factor
+    return (quadform.draw_score_pairs, model,
+            _exact_rows(config, n, config.reps, 0, [("structural_factor", factor)]))
 
 
 def _run_rate(config: ExperimentConfig, point):
@@ -332,13 +337,9 @@ def _run_kernel_check(config: ExperimentConfig):
              for x in grid]
     wlo, whi = dist.quad_window
     etau = integrate(lambda y: dist.tau(y) * dist.density(y), wlo, whi, tol=1e-12)
-    shared = dict(experiment=config.experiment, n=grid.size, reps=1,
-                  seed=config.seed, standard_error=0.0, guarded_fraction=0.0,
-                  wall_time_ms=_ms_since(t0))
-    return [
-        ResultRow(estimator="tau_max_abs_diff", estimate=float(max(diffs)), **shared),
-        ResultRow(estimator="e_tau_minus_1", estimate=float(etau - 1.0), **shared),
-    ]
+    return _exact_rows(config, grid.size, 1, _ms_since(t0), [
+        ("tau_max_abs_diff", float(max(diffs))),
+        ("e_tau_minus_1", float(etau - 1.0))])
 
 
 def _run_negmoment(config: ExperimentConfig):
@@ -350,28 +351,18 @@ def _run_negmoment(config: ExperimentConfig):
         query = moments.NegMomentQuery(alpha=config.alpha,
                                        mgf_factors=(law.mgf,) * n)
         value = moments.negative_moment(query)
-        shared = dict(experiment=config.experiment, n=n, reps=1,
-                      seed=config.seed, standard_error=0.0, guarded_fraction=0.0,
-                      wall_time_ms=_ms_since(t0))
-        rows.append(ResultRow(estimator="negative_moment", estimate=value,
-                              **shared))
-        rows.append(ResultRow(estimator="normalized_trend",
-                              estimate=value * float(n) ** config.alpha,
-                              **shared))
+        rows += _exact_rows(config, n, 1, _ms_since(t0), [
+            ("negative_moment", value),
+            ("normalized_trend", value * float(n) ** config.alpha)])
     return rows
 
 
 def _run_convert(config: ExperimentConfig):
     t0 = time.monotonic()
     report = distances.convert(config.fisher_value)
-    shared = dict(experiment=config.experiment, n=0, reps=1, seed=config.seed,
-                  standard_error=0.0, guarded_fraction=0.0,
-                  wall_time_ms=_ms_since(t0))
-    return [
-        ResultRow(estimator=name, estimate=getattr(report, name), **shared)
-        for name in ("fisher", "uniform_density", "kl", "wasserstein2",
-                     "total_variation")
-    ]
+    return _exact_rows(config, 0, 1, _ms_since(t0), [
+        (name, getattr(report, name)) for name in
+        ("fisher", "uniform_density", "kl", "wasserstein2", "total_variation")])
 
 
 _RUNNERS = {
@@ -480,6 +471,20 @@ def _error_object(kind: str, detail) -> str:
     return json.dumps({"error": kind, "detail": detail})
 
 
+# Errors a run may raise, in the order they are matched: class, exit code,
+# error kind and the ``detail`` written to stderr.
+_EXIT_CODES = (
+    (ConfigError, 2, "config", lambda exc: exc.fields),
+    (NotIntegrable, 2, "config", lambda exc: {"n_grid": str(exc)}),
+    (DegenerateModel, 2, "config", lambda exc: {"matrix_path": str(exc)}),
+    (DegenerateVariance, 2, "config", lambda exc: {"link": str(exc)}),
+    (GuardDominated, 3, "guard_dominated", str),
+    (QuadratureFailure, 3, "quadrature",
+     lambda exc: {"message": str(exc), "achieved": exc.achieved}),
+    (ParseError, 2, "parse", lambda exc: {"message": str(exc), "line": exc.line}),
+)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     values: dict = {}
@@ -496,31 +501,12 @@ def main(argv=None) -> int:
         return 2
     try:
         run(config, emit_timing=args.timing)
-    except ConfigError as exc:
-        print(_error_object("config", exc.fields), file=sys.stderr)
-        return 2
-    except NotIntegrable as exc:
-        print(_error_object("config", {"n_grid": str(exc)}), file=sys.stderr)
-        return 2
-    except DegenerateModel as exc:
-        print(_error_object("config", {"matrix_path": str(exc)}),
-              file=sys.stderr)
-        return 2
-    except DegenerateVariance as exc:
-        print(_error_object("config", {"link": str(exc)}), file=sys.stderr)
-        return 2
-    except GuardDominated as exc:
-        print(_error_object("guard_dominated", str(exc)), file=sys.stderr)
-        return 3
-    except QuadratureFailure as exc:
-        print(_error_object("quadrature", {"message": str(exc),
-                                           "achieved": exc.achieved}),
-              file=sys.stderr)
-        return 3
-    except ParseError as exc:
-        print(_error_object("parse", {"message": str(exc), "line": exc.line}),
-              file=sys.stderr)
-        return 2
+    except SteinFisherError as exc:
+        for cls, code, kind, detail in _EXIT_CODES:
+            if isinstance(exc, cls):
+                print(_error_object(kind, detail(exc)), file=sys.stderr)
+                return code
+        raise
     return 0
 
 

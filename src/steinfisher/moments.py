@@ -52,14 +52,17 @@ class NegMomentQuery:
                     "MGF factors must equal 1 at x=0 and stay <= 1 for x >= 0")
 
 
-def _log_product(factors, x: float) -> float:
-    total = 0.0
+def _log_product(factors, xs: np.ndarray) -> np.ndarray:
+    """``sum_k log factor_k(xs)`` at each abscissa, -inf once a factor is
+    at or below 0."""
+    log_prod = np.zeros_like(xs)
+    live = np.ones_like(xs, dtype=bool)
     for fac in factors:
-        v = float(np.asarray(fac(np.array([x])))[0])
-        if v <= 0.0:
-            return -math.inf
-        total += math.log(v)
-    return total
+        vals = np.asarray(fac(xs), dtype=float)
+        live &= vals > 0.0
+        with np.errstate(divide="ignore"):
+            log_prod = np.where(live, log_prod + np.log(np.where(vals > 0, vals, 1.0)), -np.inf)
+    return log_prod
 
 
 def negative_moment(query: NegMomentQuery) -> float:
@@ -70,8 +73,7 @@ def negative_moment(query: NegMomentQuery) -> float:
     ``_PROBE_MARGIN``) means the integral diverges or sits on the boundary.
     """
     lo, hi = _PROBE_POINTS
-    log_lo = _log_product(query.mgf_factors, lo)
-    log_hi = _log_product(query.mgf_factors, hi)
+    log_lo, log_hi = _log_product(query.mgf_factors, np.array(_PROBE_POINTS))
     if math.isfinite(log_lo) and math.isfinite(log_hi):
         decay = -(log_hi - log_lo) / (math.log(hi) - math.log(lo))
         if decay <= query.alpha * (1.0 + _PROBE_MARGIN):
@@ -91,13 +93,7 @@ def negative_moment(query: NegMomentQuery) -> float:
         up = us[pos]
         with np.errstate(over="ignore"):
             xp = np.minimum(up ** (1.0 / p), _MAX_ABSCISSA)
-        log_prod = np.zeros_like(xp)
-        live = np.ones_like(xp, dtype=bool)
-        for fac in query.mgf_factors:
-            vals = np.asarray(fac(xp), dtype=float)
-            live &= vals > 0.0
-            with np.errstate(divide="ignore"):
-                log_prod = np.where(live, log_prod + np.log(np.where(vals > 0, vals, 1.0)), -np.inf)
+        log_prod = _log_product(query.mgf_factors, xp)
         out[pos] = np.exp((alpha - p) / p * np.log(up) + log_prod - log_const)
         return out
 

@@ -71,33 +71,45 @@ class MatrixFunctionals:
     structural_factor: float
 
 
+def _unit_scaled(matrix: CoefficientMatrix):
+    """``(A 2**-e, e)`` with ``max|a| 2**-e`` in [0.5, 1): an exact scaling
+    under which ``sigma^2`` and the products neither overflow nor underflow."""
+    e = math.frexp(float(np.abs(matrix.entries).max(initial=0.0)))[1]
+    return CoefficientMatrix(np.ldexp(matrix.entries, -e)), e
+
+
 def matrix_functionals(matrix: CoefficientMatrix) -> MatrixFunctionals:
-    a = matrix.entries
-    sigma2 = matrix.sigma2
+    """Computed on the unit-scaled A; all but the scale-free
+    ``structural_factor`` are scaled back, and may overflow to inf."""
+    unit, e = _unit_scaled(matrix)
+    a = unit.entries
     row2 = (a ** 2).sum(axis=1)
     sum_row4 = float((row2 ** 2).sum())
     gram = a.T @ a
     trace4 = float((gram ** 2).sum())
     eigs = np.linalg.eigvalsh(gram)
-    return MatrixFunctionals(
-        sum_row4=sum_row4,
-        trace4=trace4,
-        lambda_min=float(eigs[0]),
-        lambda_max=float(eigs[-1]),
-        structural_factor=(sum_row4 + trace4) / sigma2 ** 2,
-    )
+    with np.errstate(over="ignore", under="ignore"):
+        return MatrixFunctionals(
+            sum_row4=float(np.ldexp(sum_row4, 4 * e)),
+            trace4=float(np.ldexp(trace4, 4 * e)),
+            lambda_min=float(np.ldexp(eigs[0], 2 * e)),
+            lambda_max=float(np.ldexp(eigs[-1], 2 * e)),
+            structural_factor=(sum_row4 + trace4) / unit.sigma2 ** 2,
+        )
 
 
 class QuadFormModel:
     """Quadratic form with per-coordinate laws carrying Stein kernels.
 
     Every draw is of ``F / sigma``, with the normalizer and integrand
-    rescaled consistently.
+    rescaled consistently.  None of these depend on the scale of A, so
+    ``matrix``, ``sigma2`` and ``sigma`` are those of the unit-scaled A.
     """
 
     def __init__(self, matrix: CoefficientMatrix, dists):
         if len(dists) != matrix.n:
             raise InvalidInput("need one distribution per coordinate")
+        matrix = _unit_scaled(matrix)[0]
         if matrix.sigma2 <= 0.0:
             raise DegenerateModel("zero-variance quadratic form rejected")
         self.matrix = matrix

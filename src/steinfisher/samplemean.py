@@ -16,6 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+# bench/tracing.py wraps the ``sample_columns`` binding; no draw here calls it.
 from .distributions import chunk_sizes, kernel_columns, sample_columns
 from .errors import DegenerateVariance, InvalidInput
 from .estimate import ScoreSample
@@ -135,19 +136,15 @@ class SampleMeanModel:
         ``columns`` yields one length-m column per coordinate, in order
         0..n-1.  Each column is folded into three running sums (Σx_k, Στ_k
         and Στ'_k·τ_k) and dropped, so the (m, n) block of draws and its
-        kernels are never held; adding in coordinate order is numpy's
-        axis-0 reduction of the coordinate-major block, to the bit.
+        kernels are never held; starting at 0.0 and adding in coordinate
+        order is numpy's axis-0 reduction of the block, to the bit.
         """
-        sums = None
+        x_sum = tau_sum = tt_sum = 0.0
         for dist, col in zip(self.dists, columns):
             tau = dist.tau(col)
-            terms = (col, tau, dist.tau_prime(col) * tau)
-            if sums is None:
-                sums = [np.array(t, dtype=float) for t in terms]
-            else:
-                for acc, t in zip(sums, terms):
-                    acc += t
-        x_sum, tau_sum, tt_sum = sums
+            x_sum += col
+            tau_sum += tau
+            tt_sum += dist.tau_prime(col) * tau
         link = self.link
         n = self.n
         sigma = self.sigma
@@ -172,7 +169,8 @@ def pre_pass(link: SmoothLink, dists, n: int, reps: int, stream):
     reps = int(reps)
     if reps < 10 ** 4:
         raise InvalidInput("pre_pass needs at least 1e4 replications")
-    hv = np.concatenate([link.h(sample_columns(dists, stream, m).mean(axis=1))
+    # Each coordinate column is added and dropped as it is drawn.
+    hv = np.concatenate([link.h(sum(dist.sampler(stream, m) for dist in dists) / n)
                          for m in chunk_sizes(reps, 65536)])
     mu = float(hv.mean())
     s2_h = float(hv.var(ddof=1))
@@ -259,10 +257,16 @@ def linear_sum_pairs(dists, n: int, stream, reps: int):
     blocks = []
     classic = []
     for m in chunk_sizes(reps):
-        x = sample_columns(dists, stream, m)
-        blocks.append(model.evaluate(x))
-        rho = np.empty_like(x)
-        for k, dist in enumerate(dists):
-            rho[:, k] = dist.log_density_derivative(x[:, k])
-        classic.append(rho.sum(axis=1) / math.sqrt(n))
+        rho_sum = 0.0
+
+        def columns():
+            # Folds each column's classic score into ``rho_sum`` as it passes.
+            nonlocal rho_sum
+            for dist in dists:
+                col = dist.sampler(stream, m)
+                rho_sum += dist.log_density_derivative(col)
+                yield col
+
+        blocks.append(model.reduce_columns(columns()))
+        classic.append(rho_sum / math.sqrt(n))
     return ScoreSample.concat(blocks), np.concatenate(classic)

@@ -154,6 +154,43 @@ def test_quadform_rate_with_matrix_file(tmp_path):
         run(bad)
 
 
+def _matrix_text(a):
+    return f"{len(a)}\n" + "".join(" ".join(repr(float(v)) for v in row) + "\n"
+                                   for row in a)
+
+
+@pytest.mark.parametrize("n", [2, 8])
+def test_quadform_rate_is_scale_free_in_the_matrix(tmp_path, n):
+    # 1e-170 entries underflow sigma^2 and 1e110 entries overflow its
+    # square; neither changes F / sigma or the structural factor.
+    band = np.diag(np.full(n - 1, 1.0), 1)
+    estimates = []
+    for scale in (1e-170, 1.0, 1e110):
+        mpath = write(tmp_path, "m.mat", _matrix_text(scale * (band + band.T)))
+        rows = run(ExperimentConfig(
+            experiment="quadform_rate", dist="uniform", matrix_path=mpath,
+            n_grid=(n,), reps=2000, seed=5, out_path=str(tmp_path / "q.csv")))
+        estimates.append({r.estimator: r.estimate for r in rows})
+    for est in estimates:
+        for name in ("fisher_upper", "structural_factor"):
+            assert math.isfinite(est[name])
+            assert est[name] == pytest.approx(estimates[1][name], rel=1e-12)
+
+
+@pytest.mark.parametrize("entry", ["inf", "-inf", "nan"])
+def test_non_finite_matrix_entries_exit_2(tmp_path, capsys, entry):
+    mpath = write(tmp_path, "m.mat", f"2\n0 {entry}\n{entry} 0\n")
+    out = tmp_path / "o.csv"
+    assert main(["run", "--experiment", "quadform_rate", "--dist", "uniform",
+                 "--n-grid", "2", "--reps", "1000", "--matrix-path", mpath,
+                 "--out-path", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert payload["error"] == "parse" and payload["detail"]["line"] == 2
+    assert not out.exists()
+
+
 def test_csv_json_round_trip(tmp_path):
     cfg = ExperimentConfig(experiment="sum_rate", dist="uniform",
                            n_grid=(8, 16, 32, 64), reps=2000, seed=11,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steinfisher.distributions import catalog_get
+from steinfisher.distributions import catalog_get, sample_columns
 from steinfisher.errors import (ContractViolation, DegenerateModel,
                                 NotIntegrable)
 from steinfisher.estimate import fisher_distance_upper, plugin_split
@@ -128,6 +128,25 @@ def test_matrix_functionals_examples():
     assert mf3.trace4 == pytest.approx(brute, rel=1e-12)
     eig_sq = (np.linalg.eigvalsh(gram) ** 2).sum()
     assert mf3.trace4 == pytest.approx(eig_sq, rel=1e-10)
+
+
+@pytest.mark.parametrize("scale", [1e-170, 0.75, 3.0, 1e110])
+def test_functionals_and_draws_of_a_scaled_matrix(scale):
+    base = random_model(6, "uniform", seed=23)
+    scaled = QuadFormModel(CoefficientMatrix(scale * base.matrix.entries),
+                           base.dists)
+    x = sample_columns(base.dists, substream(52, "scale"), 500)
+    a, b = base.evaluate(x), scaled.evaluate(x)
+    assert np.array_equal(a.guarded, b.guarded)
+    for u, v in ((a.f, b.f), (a.h, b.h), (a.aux, b.aux)):
+        assert np.max(np.abs(u - v)) <= 1e-12 * np.max(np.abs(v))
+    mf, mf_scaled = (matrix_functionals(m.matrix) for m in (base, scaled))
+    assert mf_scaled.structural_factor == pytest.approx(mf.structural_factor,
+                                                        rel=1e-12)
+    # the other functionals are reported for A itself
+    raw = matrix_functionals(CoefficientMatrix(scale * base.matrix.entries))
+    assert raw.lambda_max == pytest.approx(scale ** 2 * mf.lambda_max, rel=1e-12)
+    assert raw.structural_factor == pytest.approx(mf.structural_factor, rel=1e-12)
 
 
 def test_zero_matrix_rejected():

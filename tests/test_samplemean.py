@@ -233,3 +233,56 @@ def test_draw_score_pair_sm_single():
     s2 = draw_score_pairs_sm(model, substream(17, "draw"), 1)
     assert len(s1) == 1 and not s1.guarded[0]
     assert (s1.f[0], s1.h[0], s1.aux[0]) == (s2.f[0], s2.h[0], s2.aux[0])
+
+
+def test_prepass_and_linear_sum_stream_match_block():
+    # The pre-pass and the classic score fold each column as it is drawn;
+    # a block drawn from a replayed stream gives the same bits.
+    # student_t(20) draws twice per column.
+    dists = tuple(catalog_get(name) for name in CATALOG_NAMES * 3)
+    n = len(dists)
+    reps = 65536 + 4321
+    for link in (sin_link(), tanh_link()):
+        streamed = pre_pass(link, dists, n, reps, substream(22, "pp"))
+        replay = substream(22, "pp")
+        hv = np.concatenate([link.h(sample_columns(dists, replay, m).mean(axis=1))
+                             for m in chunk_sizes(reps, 65536)])
+        assert streamed[:2] == (float(hv.mean()),
+                                math.sqrt(n * float(hv.var(ddof=1))))
+    reps = CHUNK + 999
+    sample, classic = linear_sum_pairs(dists, n, substream(23, "ls"), reps)
+    model = sample_mean_model(identity_link(), dists)
+    replay = substream(23, "ls")
+    blocks, rho_sums = [], []
+    for m in chunk_sizes(reps):
+        x = sample_columns(dists, replay, m)
+        blocks.append(model.evaluate(x))
+        rho = np.empty_like(x)  # coordinate-major, like x
+        for k, d in enumerate(dists):
+            rho[:, k] = d.log_density_derivative(x[:, k])
+        rho_sums.append(rho.sum(axis=1))
+    block = ScoreSample.concat(blocks)
+    for u, v in ((sample.f, block.f), (sample.h, block.h),
+                 (sample.aux, block.aux), (sample.guarded, block.guarded),
+                 (classic, np.concatenate(rho_sums) / math.sqrt(n))):
+        assert u.tobytes() == v.tobytes()
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_prepass_and_linear_sum_memory_is_bounded_by_columns():
+    # A 16384 x 128 block is 16.8 MB and a 65536 x 128 one 67 MB; both
+    # calls hold a few length-m columns instead.
+    n = 128
+    u = catalog_get("uniform")
+    assert _peak_bytes(lambda: linear_sum_pairs(
+        [u] * n, n, substream(24, "mem"), CHUNK)) < 8e6
+    assert _peak_bytes(lambda: pre_pass(
+        sin_link(), [u] * n, n, 65536, substream(25, "mem"))) < 8e6
