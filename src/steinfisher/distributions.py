@@ -234,14 +234,22 @@ def sample_columns(dists, stream, m: int) -> np.ndarray:
 def kernel_columns(dists, x: np.ndarray):
     """Stein kernels ``(tau, tau')`` of column ``k`` of ``x`` under ``dists[k]``.
 
+    Each run of consecutive identical specs is evaluated by one ``tau`` and
+    one ``tau_prime`` call on its 2-D slice of columns; the kernels are
+    elementwise, so the values are those of a column-by-column evaluation.
     Both results keep the memory layout of ``x``, so a coordinate-major
     block gives coordinate-major kernels.
     """
     tau = np.empty_like(x)
     taup = np.empty_like(x)
-    for k, dist in enumerate(dists):
-        tau[:, k] = dist.tau(x[:, k])
-        taup[:, k] = dist.tau_prime(x[:, k])
+    start = 0
+    for stop in range(1, len(dists) + 1):
+        if stop < len(dists) and dists[stop] is dists[start]:
+            continue
+        dist, cols = dists[start], x[:, start:stop]
+        tau[:, start:stop] = dist.tau(cols)
+        taup[:, start:stop] = dist.tau_prime(cols)
+        start = stop
     return tau, taup
 
 

@@ -78,6 +78,17 @@ def _unit_scaled(matrix: CoefficientMatrix):
     return CoefficientMatrix(np.ldexp(matrix.entries, -e)), e
 
 
+def _block_draws(n: int) -> int:
+    """Draws per sub-block of :meth:`QuadFormModel.evaluate`: about 2**15 / n,
+    so one ``(n, s)`` float64 buffer is about 256 KiB, and never below 256.
+
+    A multiple of 64, so a sub-block boundary never falls inside one of
+    the BLAS kernel's column groups and each draw's ``A x`` is the one the
+    whole-chunk product gives.
+    """
+    return max(256, 2 ** 15 // n // 64 * 64)
+
+
 def matrix_functionals(matrix: CoefficientMatrix) -> MatrixFunctionals:
     """Computed on the unit-scaled A; all but the scale-free
     ``structural_factor`` are scaled back, and may overflow to inf."""
@@ -122,25 +133,46 @@ class QuadFormModel:
         return self.matrix.n
 
     def evaluate(self, x: np.ndarray) -> ScoreSample:
-        """Score-pair arrays for a block of draws ``x`` of shape (m, n)."""
+        """Score-pair arrays for a block of draws ``x`` of shape (m, n).
+
+        The draws are taken :func:`_block_draws` at a time through four
+        reused ``(n, s)`` work buffers, so beyond ``x`` and the length-m
+        results the working set does not grow with m.
+        """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         a = self.matrix.entries
+        m, n = x.shape
+        s = max(1, min(m, _block_draws(n)))
         # Coordinate-major throughout: rows of ``xt`` are coordinates, and
         # A symmetric makes ``a @ xt`` the transpose of ``x @ a``.
         xt = x.T
-        r = a @ xt
-        f = 0.5 * (xt * r).sum(axis=0)
-        tau, taup = kernel_columns(self.dists, x)
-        tau, taup = tau.T, taup.T
-        r2 = r * r
-        tau_r = tau * r
-        theta = 0.5 * (r2 * tau).sum(axis=0)
-        grad_theta = a @ tau_r + 0.5 * taup * r2
-        # L_k Theta = tau_k r_k / 2
-        theta_theta_f = 0.5 * (grad_theta * tau_r).sum(axis=0)
-        f = f / self.sigma
-        theta = theta / self.sigma2
-        theta_theta_f = theta_theta_f / (self.sigma2 * self.sigma)
+        f, theta, theta_theta_f = np.empty((3, m))
+        work = np.empty((4, n * s))
+        for j in range(0, m, s):
+            xs = xt[:, j:j + s]
+            w = xs.shape[1]
+            r, prod, r2, grad = (b[:n * w].reshape(n, w) for b in work)
+            draws = slice(j, j + w)
+            np.matmul(a, xs, out=r)
+            np.multiply(xs, r, out=prod)
+            np.sum(prod, axis=0, out=f[draws])
+            tau, taup = kernel_columns(self.dists, xs.T)
+            tau, taup = tau.T, taup.T
+            np.multiply(r, r, out=r2)
+            tau_r = np.multiply(tau, r, out=r)
+            np.multiply(r2, tau, out=prod)
+            np.sum(prod, axis=0, out=theta[draws])
+            # grad Theta = A (tau r) + (tau' / 2) r^2
+            np.matmul(a, tau_r, out=grad)
+            np.multiply(0.5, taup, out=taup)
+            np.multiply(taup, r2, out=taup)
+            np.add(grad, taup, out=grad)
+            # L_k Theta = tau_k r_k / 2
+            np.multiply(grad, tau_r, out=grad)
+            np.sum(grad, axis=0, out=theta_theta_f[draws])
+        f = 0.5 * f / self.sigma
+        theta = 0.5 * theta / self.sigma2
+        theta_theta_f = 0.5 * theta_theta_f / (self.sigma2 * self.sigma)
         return ScoreSample.represent(f, f, theta, theta_theta_f)
 
     def theta_value(self, x) -> float:
@@ -172,10 +204,13 @@ def gaussian_negative_moment_norm(matrix: CoefficientMatrix, order: float,
     Evaluates ``2 sigma^2 (Gamma(order)^-1 int_0^inf x^(order-1)
     prod_k (1 + 2 lambda_k x)^(-1/2) dx)^(1/order)`` with ``lambda_k`` the
     eigenvalues of ``A^T A``.  The integral converges only when more than
-    ``2 * order`` eigenvalues are positive.
+    ``2 * order`` eigenvalues are positive.  The norm is scale free, so it
+    is computed on the unit-scaled A, whose eigenvalues neither overflow
+    nor underflow.
     """
     if order <= 0:
         raise InvalidInput("order must be positive")
+    matrix = _unit_scaled(matrix)[0]
     gram = matrix.entries.T @ matrix.entries
     lam = np.clip(np.linalg.eigvalsh(gram), 0.0, None)
     positive = lam[lam > lam.max() * 1e-12] if lam.max() > 0 else lam[:0]
@@ -207,10 +242,12 @@ def gaussian_negative_moment_norm_mc(matrix: CoefficientMatrix, order: float,
     sphere functional ``||A u||^(-2 order)`` is averaged.  This keeps the
     estimator's variance finite, which the plain average of
     ``(sigma^2 / Theta)^order`` does not (its tail index is n / (2 order)).
+    Like the exact norm, it is computed on the unit-scaled A.
     """
     n = matrix.n
     if n / 2.0 <= order:
         raise NotIntegrable(f"n={n} Gaussian draws cannot support order {order}")
+    matrix = _unit_scaled(matrix)[0]
     a = matrix.entries
     log_radial = gammaln(n / 2.0 - order) - gammaln(n / 2.0)
     total = 0.0

@@ -172,9 +172,12 @@ def pre_pass(link: SmoothLink, dists, n: int, reps: int, stream):
     # Each coordinate column is added and dropped as it is drawn.
     hv = np.concatenate([link.h(sum(dist.sampler(stream, m) for dist in dists) / n)
                          for m in chunk_sizes(reps, 65536)])
-    mu = float(hv.mean())
-    s2_h = float(hv.var(ddof=1))
-    m4 = float(((hv - mu) ** 4).mean())
+    # A huge link overflows these moments to inf, which the check below
+    # turns into DegenerateVariance.
+    with np.errstate(over="ignore"):
+        mu = float(hv.mean())
+        s2_h = float(hv.var(ddof=1))
+        m4 = float(((hv - mu) ** 4).mean())
     sigma2 = n * s2_h
     sigma = math.sqrt(sigma2)
     if not (math.isfinite(sigma) and math.isfinite(m4)):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -32,3 +34,19 @@ def assert_block_layouts_agree(model, seed):
     for u, v in ((a.f, b.f), (a.h, b.h), (a.aux, b.aux)):
         u, v = u[keep], v[keep]
         assert np.max(np.abs(u - v)) <= 1e-14 * np.max(np.abs(v))
+
+
+def counting_spec(spec, calls):
+    """A copy of ``spec`` whose ``tau`` and ``tau_prime`` append
+    ``(spec.name, kernel, argument shape)`` to ``calls`` on every call."""
+    kf = spec.kernel_form
+
+    def counted(kernel, fn):
+        def wrapped(x):
+            calls.append((spec.name, kernel, np.shape(x)))
+            return fn(x)
+        return wrapped
+
+    return dataclasses.replace(spec, kernel_form=dataclasses.replace(
+        kf, tau=counted("tau", kf.tau),
+        tau_prime=counted("tau_prime", kf.tau_prime)))

@@ -8,13 +8,13 @@ import pytest
 
 import steinfisher
 from steinfisher.distributions import (CHUNK, catalog_get, chunk_sizes,
-                                       sample_columns)
+                                       kernel_columns, sample_columns)
 from steinfisher.errors import MomentConditionViolated, NotInCatalog
 from steinfisher.quadrature import integrate
 from steinfisher.stein_core import tau_by_quadrature
 from steinfisher.streams import substream
 
-from conftest import CATALOG_NAMES, ks_statistic
+from conftest import CATALOG_NAMES, counting_spec, ks_statistic
 
 SQRT3 = math.sqrt(3.0)
 
@@ -115,6 +115,26 @@ def test_sample_columns_is_coordinate_major_in_stream_order():
     replay = substream(8, "cols")
     for k, dist in enumerate(dists):
         assert np.array_equal(x[:, k], dist.sampler(replay, m))
+
+
+def test_kernel_columns_calls_each_run_of_identical_specs_once():
+    calls = []
+    u, g, e = (counting_spec(catalog_get(name), calls)
+               for name in ("uniform", "gaussian", "exponential_centered"))
+    dists = [u, u, u, g, g, u, e, e]
+    plain = [catalog_get(d.name) for d in dists]
+    x = sample_columns(plain, substream(12, "runs"), 300)
+    tau, taup = kernel_columns(dists, x)
+    # runs u*3, g*2, u*1, e*2: one tau and one tau' call each, on 2-D slices
+    assert calls == [(name, kernel, (300, width))
+                     for name, width in (("uniform", 3), ("gaussian", 2),
+                                         ("uniform", 1),
+                                         ("exponential_centered", 2))
+                     for kernel in ("tau", "tau_prime")]
+    for k, d in enumerate(plain):
+        assert np.array_equal(tau[:, k], d.tau(x[:, k]))
+        assert np.array_equal(taup[:, k], d.tau_prime(x[:, k]))
+    assert tau.T.flags.c_contiguous and taup.T.flags.c_contiguous
 
 
 def test_student_t_cdf_matches_scipy_stats():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from hypothesis import strategies as st
 from steinfisher.distributions import catalog_get, sample_columns
 from steinfisher.errors import (ContractViolation, DegenerateModel,
                                 NotIntegrable)
-from steinfisher.estimate import fisher_distance_upper, plugin_split
+from steinfisher.estimate import (ScoreSample, fisher_distance_upper,
+                                  plugin_split)
 from steinfisher.quadform import (CoefficientMatrix, QuadFormModel,
+                                  _block_draws,
                                   banded_coefficients, draw_score_pairs,
                                   fisher_bound_factor,
                                   gaussian_negative_moment_norm,
@@ -17,7 +20,7 @@ from steinfisher.quadform import (CoefficientMatrix, QuadFormModel,
                                   matrix_functionals)
 from steinfisher.streams import substream
 
-from conftest import CATALOG_NAMES, assert_block_layouts_agree
+from conftest import CATALOG_NAMES, assert_block_layouts_agree, counting_spec
 
 
 def two_by_two():
@@ -93,6 +96,79 @@ def test_evaluate_agrees_across_block_layouts():
     dists = [catalog_get(name) for name in CATALOG_NAMES * 3]
     model = QuadFormModel(banded_coefficients(len(dists), 2), dists)
     assert_block_layouts_agree(model, seed=4)
+
+
+def whole_block_reference(model, x):
+    """The whole-block formula: every temporary is a full (n, m) block."""
+    a = model.matrix.entries
+    xt = x.T
+    r = a @ xt
+    f = 0.5 * (xt * r).sum(axis=0)
+    tau = np.array([d.tau(col) for d, col in zip(model.dists, xt)])
+    taup = np.array([d.tau_prime(col) for d, col in zip(model.dists, xt)])
+    r2 = r * r
+    tau_r = tau * r
+    theta = 0.5 * (r2 * tau).sum(axis=0)
+    grad_theta = a @ tau_r + 0.5 * taup * r2
+    theta_theta_f = 0.5 * (grad_theta * tau_r).sum(axis=0)
+    f = f / model.sigma
+    return ScoreSample.represent(f, f, theta / model.sigma2,
+                                 theta_theta_f / (model.sigma2 * model.sigma))
+
+
+def mixed_laws(n):
+    """Runs of every catalog law, each law recurring after the others."""
+    names = []
+    for k in range(n):
+        names += [CATALOG_NAMES[k % 4]] * (k % 3 + 1)
+    return [catalog_get(name) for name in names[:n]]
+
+
+@pytest.mark.parametrize("n", [2, 37, 130])
+def test_evaluate_sub_blocks_match_whole_block(n):
+    rng = np.random.default_rng(n)
+    model = QuadFormModel(CoefficientMatrix(rng.normal(size=(n, n))),
+                          mixed_laws(n))
+    s = _block_draws(n)
+    for m in sorted({0, 1, s - 1, s, s + 1, 1696, 16384}):
+        view = sample_columns(model.dists, substream(91, "sub", n, m), m)
+        ref = whole_block_reference(model, view)
+        for x in (view, np.ascontiguousarray(view)):
+            got = model.evaluate(x)
+            assert np.array_equal(got.guarded, ref.guarded)
+            # exact but for a one-draw remainder, which BLAS evaluates
+            # as a matrix-vector product
+            for u, v in ((got.f, ref.f), (got.h, ref.h), (got.aux, ref.aux)):
+                assert np.all(np.abs(u - v)
+                              <= 1e-14 * np.max(np.abs(v), initial=0.0))
+
+
+def test_evaluate_calls_kernels_once_per_run_and_sub_block():
+    calls = []
+    u, g = (counting_spec(catalog_get(name), calls)
+            for name in ("uniform", "gaussian"))
+    n = 64
+    model = QuadFormModel(banded_coefficients(n), [u] * 40 + [g] * 24)
+    m = 3 * _block_draws(n) + 5
+    model.evaluate(sample_columns(model.dists, substream(92, "count"), m))
+    per_block = [(name, kernel) for name in ("uniform", "gaussian")
+                 for kernel in ("tau", "tau_prime")]
+    assert [c[:2] for c in calls] == per_block * 4
+
+
+def test_evaluate_memory_stays_bounded():
+    n = 128
+    model = QuadFormModel(banded_coefficients(n),
+                          [catalog_get("uniform")] * n)
+    x = sample_columns(model.dists, substream(93, "memory"), 16384)
+    tracemalloc.start()
+    try:
+        model.evaluate(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a whole-block evaluation holds about seven 16 MB (n, m) temporaries
+    assert peak < 16e6
 
 
 def test_theta_nonnegative_and_lower_bound():
@@ -190,6 +266,20 @@ def test_gaussian_negative_moment_norm_mc_agrees():
     mc_value = gaussian_negative_moment_norm_mc(m, 8.0, substream(8, "mc"),
                                                 200_000)
     assert mc_value == pytest.approx(quad_value, rel=0.05)
+
+
+@pytest.mark.parametrize("scale", [1e-170, 0.75, 3.0, 1e110])
+def test_gaussian_negative_moment_norms_are_scale_free(scale):
+    rng = np.random.default_rng(1712)
+    a = np.triu(rng.uniform(-1, 1, (20, 20)), 1)
+    base, scaled = CoefficientMatrix(a), CoefficientMatrix(scale * a)
+    assert gaussian_negative_moment_norm(scaled, 4.0) == pytest.approx(
+        gaussian_negative_moment_norm(base, 4.0), rel=1e-12)
+    mc_base, mc_scaled = (
+        gaussian_negative_moment_norm_mc(m, 4.0, substream(9, "mc-scale"),
+                                         20_000)
+        for m in (base, scaled))
+    assert mc_scaled == pytest.approx(mc_base, rel=1e-12)
 
 
 def test_fisher_bound_factor():
