@@ -109,11 +109,11 @@ def _square_peak_breaks(v):
     return (-r, 0.0, r)
 
 
-def _quadrature_mgf(dist: DistributionSpec, exponent: Callable, tol: float,
+def _quadrature_mgf(dist: DistributionSpec, exponent: Callable,
                     breaks: Callable = lambda v: ()):
     """MGF ``x -> E[exp(exponent(x, X))]`` of a law given by its density.
 
-    Each abscissa ``v`` costs one adaptive integral over
+    Each abscissa ``v`` costs one adaptive integral (tolerance 1e-12) over
     ``dist.quad_window``, split at the points of ``breaks(v)`` inside it.
     The values of the last 8 abscissa arrays are kept, keyed by the bytes
     of the array, so the ``n`` identical factors of a negative-moment query
@@ -125,7 +125,7 @@ def _quadrature_mgf(dist: DistributionSpec, exponent: Callable, tol: float,
     def value(v):
         edges = [wlo, *sorted(b for b in breaks(v) if wlo < b < whi), whi]
         return sum(integrate(lambda y: np.exp(exponent(v, y)) * dist.density(y),
-                             a, b, tol=tol)
+                             a, b, tol=1e-12)
                    for a, b in zip(edges, edges[1:]))
 
     @functools.lru_cache(maxsize=8)
@@ -156,20 +156,20 @@ class NonnegativeLaw:
                    mgf=lambda x: np.exp(-c * np.asarray(x, dtype=float)))
 
     @classmethod
-    def square_of(cls, dist: DistributionSpec, *, tol=1e-12) -> "NonnegativeLaw":
+    def square_of(cls, dist: DistributionSpec) -> "NonnegativeLaw":
         """Law of ``X^2`` for a standardized input (so ``E[X^2] = 1``)."""
         if dist.name == "gaussian":
             return cls(name="gaussian_square",
                        mgf=lambda x: (1.0 + 2.0 * np.asarray(x, dtype=float)) ** -0.5)
         return cls(name=f"square_of({dist.name})",
-                   mgf=_quadrature_mgf(dist, lambda v, y: -v * y * y, tol,
+                   mgf=_quadrature_mgf(dist, lambda v, y: -v * y * y,
                                        _square_peak_breaks))
 
     @classmethod
-    def kernel_of(cls, dist: DistributionSpec, *, tol=1e-12) -> "NonnegativeLaw":
+    def kernel_of(cls, dist: DistributionSpec) -> "NonnegativeLaw":
         """Law of ``tau(X)``, which has unit mean for standardized inputs."""
         return cls(name=f"kernel_of({dist.name})",
-                   mgf=_quadrature_mgf(dist, lambda v, y: -v * dist.tau(y), tol))
+                   mgf=_quadrature_mgf(dist, lambda v, y: -v * dist.tau(y)))
 
 
 @dataclass(frozen=True)
@@ -207,8 +207,8 @@ class MgfCheckPoint:
     ok: bool
 
 
-def mgf_bound_check(dist: DistributionSpec, x_grid, *, c: Optional[float] = None,
-                    tol=1e-12) -> list:
+def mgf_bound_check(dist: DistributionSpec, x_grid, *,
+                    c: Optional[float] = None) -> list:
     """Check ``E[exp(-x tau(X))] <= (1 + x c^2)^(-1/c^2)`` pointwise.
 
     ``c`` defaults to the catalog bound on ``|tau'|``; without a positive
@@ -221,7 +221,7 @@ def mgf_bound_check(dist: DistributionSpec, x_grid, *, c: Optional[float] = None
         raise MissingKernelDerivativeBound(
             f"{dist.name} has no positive kernel-derivative bound; supply c")
     xs = np.fromiter(x_grid, dtype=float)
-    lhs_values = NonnegativeLaw.kernel_of(dist, tol=tol).mgf(xs)
+    lhs_values = NonnegativeLaw.kernel_of(dist).mgf(xs)
     out = []
     for x, lhs in zip(xs, lhs_values):
         x, lhs = float(x), float(lhs)

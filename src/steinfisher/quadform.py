@@ -12,13 +12,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
+from . import moments
 from .distributions import chunk_sizes, kernel_columns, sample_columns
 from .errors import (ContractViolation, DegenerateModel, InvalidInput,
                      NotIntegrable)
 from .estimate import ScoreSample
-from .quadrature import integrate_half_line
 
 
 class CoefficientMatrix:
@@ -135,9 +134,8 @@ class QuadFormModel:
     def evaluate(self, x: np.ndarray) -> ScoreSample:
         """Score-pair arrays for a block of draws ``x`` of shape (m, n).
 
-        The draws are taken :func:`_block_draws` at a time through four
-        reused ``(n, s)`` work buffers, so beyond ``x`` and the length-m
-        results the working set does not grow with m.
+        The draws are taken :func:`_block_draws` at a time, so beyond ``x``
+        and the length-m results the working set does not grow with m.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         a = self.matrix.entries
@@ -147,29 +145,20 @@ class QuadFormModel:
         # A symmetric makes ``a @ xt`` the transpose of ``x @ a``.
         xt = x.T
         f, theta, theta_theta_f = np.empty((3, m))
-        work = np.empty((4, n * s))
         for j in range(0, m, s):
             xs = xt[:, j:j + s]
-            w = xs.shape[1]
-            r, prod, r2, grad = (b[:n * w].reshape(n, w) for b in work)
-            draws = slice(j, j + w)
-            np.matmul(a, xs, out=r)
-            np.multiply(xs, r, out=prod)
-            np.sum(prod, axis=0, out=f[draws])
+            draws = slice(j, j + xs.shape[1])
+            r = a @ xs
+            f[draws] = (xs * r).sum(axis=0)
             tau, taup = kernel_columns(self.dists, xs.T)
             tau, taup = tau.T, taup.T
-            np.multiply(r, r, out=r2)
-            tau_r = np.multiply(tau, r, out=r)
-            np.multiply(r2, tau, out=prod)
-            np.sum(prod, axis=0, out=theta[draws])
-            # grad Theta = A (tau r) + (tau' / 2) r^2
-            np.matmul(a, tau_r, out=grad)
-            np.multiply(0.5, taup, out=taup)
-            np.multiply(taup, r2, out=taup)
-            np.add(grad, taup, out=grad)
+            r2 = r * r
+            tau_r = tau * r
+            theta[draws] = (r2 * tau).sum(axis=0)
+            # grad Theta = A (tau r) + (tau' / 2) r^2, and
             # L_k Theta = tau_k r_k / 2
-            np.multiply(grad, tau_r, out=grad)
-            np.sum(grad, axis=0, out=theta_theta_f[draws])
+            theta_theta_f[draws] = (
+                (a @ tau_r + 0.5 * taup * r2) * tau_r).sum(axis=0)
         f = 0.5 * f / self.sigma
         theta = 0.5 * theta / self.sigma2
         theta_theta_f = 0.5 * theta_theta_f / (self.sigma2 * self.sigma)
@@ -197,16 +186,18 @@ def draw_score_pairs(model: QuadFormModel, stream, reps: int) -> ScoreSample:
     return ScoreSample.concat(blocks)
 
 
-def gaussian_negative_moment_norm(matrix: CoefficientMatrix, order: float,
-                                  *, tol=1e-12) -> float:
+def gaussian_negative_moment_norm(matrix: CoefficientMatrix,
+                                  order: float) -> float:
     """Exact ``|| sigma^2 Theta^-1 ||_order`` for all-Gaussian inputs.
 
-    Evaluates ``2 sigma^2 (Gamma(order)^-1 int_0^inf x^(order-1)
-    prod_k (1 + 2 lambda_k x)^(-1/2) dx)^(1/order)`` with ``lambda_k`` the
-    eigenvalues of ``A^T A``.  The integral converges only when more than
-    ``2 * order`` eigenvalues are positive.  The norm is scale free, so it
-    is computed on the unit-scaled A, whose eigenvalues neither overflow
-    nor underflow.
+    Under Gaussian inputs ``2 Theta = sum_k lambda_k Z_k^2`` with
+    ``lambda_k`` the eigenvalues of ``A^T A``, so the norm is
+    ``2 sigma^2 E[(sum_k lambda_k Z_k^2)^-order]^(1/order)``: a
+    :func:`moments.negative_moment` with one factor
+    ``x -> (1 + 2 lambda_k x)^(-1/2)`` per positive eigenvalue.  It exists
+    only when more than ``2 * order`` eigenvalues are positive.  The norm
+    is scale free, so it is computed on the unit-scaled A, whose
+    eigenvalues neither overflow nor underflow.
     """
     if order <= 0:
         raise InvalidInput("order must be positive")
@@ -217,19 +208,10 @@ def gaussian_negative_moment_norm(matrix: CoefficientMatrix, order: float,
     if positive.size / 2.0 <= order:
         raise NotIntegrable(
             f"{positive.size} positive eigenvalues cannot support order {order}")
-
-    log_gamma = gammaln(order)
-
-    def integrand(xs):
-        xs = np.asarray(xs, dtype=float)
-        out = np.zeros_like(xs)
-        pos = xs > 0.0
-        xp = xs[pos]
-        log_prod = -0.5 * np.log1p(2.0 * np.outer(xp, positive)).sum(axis=1)
-        out[pos] = np.exp((order - 1.0) * np.log(xp) + log_prod - log_gamma)
-        return out
-
-    inner = integrate_half_line(integrand, tol=tol)
+    factors = tuple(lambda x, lk=float(lk): (1.0 + 2.0 * lk * x) ** -0.5
+                    for lk in positive)
+    inner = moments.negative_moment(moments.NegMomentQuery(
+        alpha=order, mgf_factors=factors, quadrature_tol=1e-12))
     return 2.0 * matrix.sigma2 * inner ** (1.0 / order)
 
 
@@ -249,9 +231,9 @@ def gaussian_negative_moment_norm_mc(matrix: CoefficientMatrix, order: float,
         raise NotIntegrable(f"n={n} Gaussian draws cannot support order {order}")
     matrix = _unit_scaled(matrix)[0]
     a = matrix.entries
-    log_radial = gammaln(n / 2.0 - order) - gammaln(n / 2.0)
+    log_radial = math.lgamma(n / 2.0 - order) - math.lgamma(n / 2.0)
     total = 0.0
-    for m in chunk_sizes(reps, 100_000):
+    for m in chunk_sizes(reps):
         x = stream.standard_normal((m, n))
         u = x / np.linalg.norm(x, axis=1, keepdims=True)
         total += float((np.linalg.norm(u @ a, axis=1) ** (-2.0 * order)).sum())

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import QuadratureFailure
 
 DEFAULT_TOL = 1e-10
+REL_TOL = 1e-12  # subdivision also stops at this error relative to the value
 
 # 15-point Kronrod abscissae on [-1, 1]; the odd indices form the embedded
 # 7-point Gauss rule.
@@ -74,12 +75,12 @@ def _panels(f, lefts, rights):
     return k, err
 
 
-def integrate(f, a, b, *, tol=DEFAULT_TOL, rel=1e-12, limit=1024, init=4):
+def integrate(f, a, b, *, tol=DEFAULT_TOL, limit=1024, init=4):
     """Integrate ``f`` over the finite interval ``[a, b]``.
 
-    Subdivides until ``sum(err) <= max(tol, rel * |integral|)`` or the panel
-    ``limit`` is reached, in which case :class:`QuadratureFailure` carries the
-    achieved error estimate.
+    Subdivides until ``sum(err) <= max(tol, REL_TOL * |integral|)`` or the
+    panel ``limit`` is reached, in which case :class:`QuadratureFailure`
+    carries the achieved error estimate.
     """
     a = float(a)
     b = float(b)
@@ -88,7 +89,7 @@ def integrate(f, a, b, *, tol=DEFAULT_TOL, rel=1e-12, limit=1024, init=4):
     if a == b:
         return 0.0
     if a > b:
-        return -integrate(f, b, a, tol=tol, rel=rel, limit=limit, init=init)
+        return -integrate(f, b, a, tol=tol, limit=limit, init=init)
 
     edges = np.linspace(a, b, max(1, int(init)) + 1)
     ks, errs = _panels(f, edges[:-1], edges[1:])
@@ -100,7 +101,7 @@ def integrate(f, a, b, *, tol=DEFAULT_TOL, rel=1e-12, limit=1024, init=4):
     total = float(ks.sum())
     total_err = float(errs.sum())
 
-    while total_err > max(tol, rel * abs(total)) and len(heap) < limit:
+    while total_err > max(tol, REL_TOL * abs(total)) and len(heap) < limit:
         neg_e, _, lo, hi, k = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         ks, errs = _panels(f, [lo, mid], [mid, hi])
@@ -111,14 +112,14 @@ def integrate(f, a, b, *, tol=DEFAULT_TOL, rel=1e-12, limit=1024, init=4):
             heapq.heappush(heap, (-child_e, counter, child_lo, child_hi, child_k))
             counter += 1
 
-    if total_err > max(tol, rel * abs(total)):
+    if total_err > max(tol, REL_TOL * abs(total)):
         raise QuadratureFailure(
             f"quadrature on [{a}, {b}] stalled at error {total_err:.3e} "
             f"(requested {tol:.3e})", achieved=total_err)
     return total
 
 
-def integrate_half_line(f, *, tol=DEFAULT_TOL, rel=1e-12, limit=4096, init=8):
+def integrate_half_line(f, *, tol=DEFAULT_TOL):
     """Integrate ``f`` over ``(0, inf)`` via ``x = t / (1 - t)^3``.
 
     The cubic power keeps the mapped integrand bounded at ``t = 1`` for
@@ -135,7 +136,7 @@ def integrate_half_line(f, *, tol=DEFAULT_TOL, rel=1e-12, limit=4096, init=8):
         vals = np.asarray(f(xs), dtype=float)
         return vals * (1.0 + 2.0 * ts) / om ** 4
 
-    return integrate(mapped, 0.0, 1.0, tol=tol, rel=rel, limit=limit, init=init)
+    return integrate(mapped, 0.0, 1.0, tol=tol, limit=4096, init=8)
 
 
 def density_window(density, support, *, floor=1e-16):

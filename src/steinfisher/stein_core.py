@@ -24,8 +24,8 @@ class CovarianceCheckReport:
     abs_diff: float
 
 
-def covariance_formula_check(dist: DistributionSpec, alpha, alpha_prime, beta,
-                             *, tol=1e-10, inner_tol=None) -> CovarianceCheckReport:
+def covariance_formula_check(dist: DistributionSpec, alpha, alpha_prime,
+                             beta) -> CovarianceCheckReport:
     """Check Cov(alpha(X), beta(X)) against the integrated-by-parts form.
 
     ``lhs`` integrates ``alpha * (beta - E beta) * p`` directly; ``rhs``
@@ -34,7 +34,7 @@ def covariance_formula_check(dist: DistributionSpec, alpha, alpha_prime, beta,
     """
     wlo, whi = dist.quad_window
     p = dist.density
-    it = tol if inner_tol is None else inner_tol
+    tol = 1e-10
     e_beta = integrate(lambda y: beta(y) * p(y), wlo, whi, tol=tol)
     lhs = integrate(lambda x: alpha(x) * (beta(x) - e_beta) * p(x),
                     wlo, whi, tol=tol)
@@ -42,7 +42,7 @@ def covariance_formula_check(dist: DistributionSpec, alpha, alpha_prime, beta,
     def tail(x: float) -> float:
         if x >= whi:
             return 0.0
-        return integrate(lambda y: (beta(y) - e_beta) * p(y), x, whi, tol=it)
+        return integrate(lambda y: (beta(y) - e_beta) * p(y), x, whi, tol=tol)
 
     def outer(xs):
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
@@ -53,13 +53,14 @@ def covariance_formula_check(dist: DistributionSpec, alpha, alpha_prime, beta,
     return CovarianceCheckReport(lhs=lhs, rhs=rhs, abs_diff=abs(lhs - rhs))
 
 
-def tau_by_quadrature(dist: DistributionSpec, x: float, *, tol=1e-13) -> float:
+def tau_by_quadrature(dist: DistributionSpec, x: float) -> float:
     """Stein kernel at ``x`` straight from its defining tail integral.
 
     Used as the independent oracle against closed-form kernels; the mean is
     itself recomputed by quadrature rather than trusted to be zero.
     """
     wlo, whi = dist.quad_window
+    tol = 1e-13
     mean = integrate(lambda y: y * dist.density(y), wlo, whi, tol=tol)
     px = float(dist.density(x))
     if px < DENSITY_DIVIDE_FLOOR:

@@ -254,6 +254,16 @@ def test_gaussian_negative_moment_norm_chisquare_oracle():
     assert value == pytest.approx(2.0, abs=1e-9)
 
 
+def test_gaussian_negative_moment_norm_below_order_one():
+    # the same two pairs at order 1/2: sigma^2 E[Theta^-1/2]^2
+    # = 4 E[(chi2_4)^-1/2]^2 = 4 (Gamma(3/2) / (sqrt(2) Gamma(2)))^2 = pi / 2
+    a = np.zeros((4, 4))
+    a[0, 1] = 1.0
+    a[2, 3] = 1.0
+    value = gaussian_negative_moment_norm(CoefficientMatrix(a), 0.5)
+    assert value == pytest.approx(math.pi / 2.0, rel=2e-14, abs=0.0)
+
+
 def test_gaussian_negative_moment_norm_not_integrable():
     with pytest.raises(NotIntegrable):
         gaussian_negative_moment_norm(two_by_two(), 8.0)
@@ -280,6 +290,19 @@ def test_gaussian_negative_moment_norms_are_scale_free(scale):
                                          20_000)
         for m in (base, scaled))
     assert mc_scaled == pytest.approx(mc_base, rel=1e-12)
+
+
+def test_gaussian_negative_moment_norm_mc_memory_stays_bounded():
+    tracemalloc.start()
+    try:
+        gaussian_negative_moment_norm_mc(banded_coefficients(64), 8.0,
+                                         substream(3, "mc-memory"), 100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a 16384-draw chunk holds a few 8.4 MB (m, 64) arrays; one
+    # 100 000-draw block held about 200 MB
+    assert peak < 48e6
 
 
 def test_fisher_bound_factor():
