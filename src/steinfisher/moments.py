@@ -71,6 +71,7 @@ def negative_moment(query: NegMomentQuery) -> float:
     Probes the factor product's decay at two large abscissae first; a local
     decay exponent at or below ``alpha`` (up to a relative margin of
     ``_PROBE_MARGIN``) means the integral diverges or sits on the boundary.
+    Otherwise the value is :func:`mgf_integral`'s.
     """
     lo, hi = _PROBE_POINTS
     log_lo, log_hi = _log_product(query.mgf_factors, np.array(_PROBE_POINTS))
@@ -80,6 +81,13 @@ def negative_moment(query: NegMomentQuery) -> float:
             raise NotIntegrable(
                 f"factor product decays like x^-{decay:.3f}, need faster "
                 f"than x^-{query.alpha:g}")
+    return mgf_integral(query)
+
+
+def mgf_integral(query: NegMomentQuery) -> float:
+    """The negative moment ``Gamma(alpha)^-1 int_0^inf x^(alpha - 1)
+    prod_k factor_k(x) dx`` without the decay probe, for callers that know
+    the integral converges."""
     alpha = query.alpha
     # Over u = x^p the x^(alpha - 1) singularity at 0 (scaled below the
     # absolute tolerance by 1/Gamma(alpha)) is gone; p = 1 for alpha >= 1.

@@ -192,12 +192,14 @@ def gaussian_negative_moment_norm(matrix: CoefficientMatrix,
 
     Under Gaussian inputs ``2 Theta = sum_k lambda_k Z_k^2`` with
     ``lambda_k`` the eigenvalues of ``A^T A``, so the norm is
-    ``2 sigma^2 E[(sum_k lambda_k Z_k^2)^-order]^(1/order)``: a
-    :func:`moments.negative_moment` with one factor
-    ``x -> (1 + 2 lambda_k x)^(-1/2)`` per positive eigenvalue.  It exists
-    only when more than ``2 * order`` eigenvalues are positive.  The norm
-    is scale free, so it is computed on the unit-scaled A, whose
-    eigenvalues neither overflow nor underflow.
+    ``2 sigma^2 E[(sum_k lambda_k Z_k^2)^-order]^(1/order)``: the
+    :func:`moments.mgf_integral` of the MGF ``x -> prod_k (1 + 2 lambda_k
+    x)^(-1/2)`` over the positive eigenvalues.  It exists exactly when
+    more than ``2 * order`` eigenvalues are positive; the decay probe of
+    :func:`moments.negative_moment` reads only up to x = 1e6 and would
+    refuse norms with eigenvalues far below the largest.  The norm is scale
+    free, so it is computed on the unit-scaled A, whose eigenvalues neither
+    overflow nor underflow.
     """
     if order <= 0:
         raise InvalidInput("order must be positive")
@@ -208,10 +210,10 @@ def gaussian_negative_moment_norm(matrix: CoefficientMatrix,
     if positive.size / 2.0 <= order:
         raise NotIntegrable(
             f"{positive.size} positive eigenvalues cannot support order {order}")
-    factors = tuple(lambda x, lk=float(lk): (1.0 + 2.0 * lk * x) ** -0.5
-                    for lk in positive)
-    inner = moments.negative_moment(moments.NegMomentQuery(
-        alpha=order, mgf_factors=factors, quadrature_tol=1e-12))
+    inner = moments.mgf_integral(moments.NegMomentQuery(
+        alpha=order, quadrature_tol=1e-12, mgf_factors=(
+            lambda x: np.exp(-0.5 * np.log1p(2.0 * np.outer(x, positive))
+                             .sum(axis=1)),)))
     return 2.0 * matrix.sigma2 * inner ** (1.0 / order)
 
 

@@ -264,6 +264,19 @@ def test_gaussian_negative_moment_norm_below_order_one():
     assert value == pytest.approx(math.pi / 2.0, rel=2e-14, abs=0.0)
 
 
+def test_gaussian_negative_moment_norm_with_slowly_decaying_factors():
+    # nine disjoint pairs, one of them with coefficient 1e-4: Gram
+    # eigenvalues 1 (16 times) and 1e-8 (twice), so the order-8 norm exists
+    # though the product of the eigenvalue factors decays like x^-8 up to
+    # x ~ 1e8; reference value from mpmath at 40 digits
+    a = np.zeros((18, 18))
+    for i in range(9):
+        a[2 * i, 2 * i + 1] = 1.0
+    a[16, 17] = 1e-4
+    value = gaussian_negative_moment_norm(CoefficientMatrix(a), 8.0)
+    assert value == pytest.approx(3.8923673885360305, rel=1e-13, abs=0.0)
+
+
 def test_gaussian_negative_moment_norm_not_integrable():
     with pytest.raises(NotIntegrable):
         gaussian_negative_moment_norm(two_by_two(), 8.0)
