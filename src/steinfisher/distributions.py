@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import special
 
 from .errors import MomentConditionViolated, NotInCatalog
 from .quadrature import density_window
@@ -23,6 +22,93 @@ CHUNK = 16384  # draws per block in every chunked draw loop
 
 _SQRT3 = math.sqrt(3.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+# Cephes erf (|x| < 1) and erfc (1 <= x < 8) rational approximations,
+# highest degree first; each denominator's leading 1 is implicit, as in
+# cephes's p1evl.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1,
+          2.23200534594684319226e3, 7.00332514112805075473e3,
+          5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2,
+          4.59432382970980127987e3, 2.26290000613890934246e4,
+          4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1,
+           7.46321056442269912687e0, 4.86371970985681366614e1,
+           1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3,
+           5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1,
+           3.54937778887819891062e2, 9.75708501743205489753e2,
+           1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_MAXLOG = 7.09782712893383996843e2  # erfc(z) is 0 once z^2 exceeds this
+_SQRT1_2 = math.sqrt(0.5)
+_INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
+
+
+def _poly(x, coeffs, monic=False):
+    """Horner value of a polynomial, with an implicit leading 1 if monic."""
+    acc = x + coeffs[0] if monic else np.full_like(x, coeffs[0])
+    for c in coeffs[1:]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def _erf(x):
+    """cephes erf on |x| < 1."""
+    xx = x * x
+    return x * _poly(xx, _ERF_T) / _poly(xx, _ERF_U, monic=True)
+
+
+def _erfc_near(z):
+    """cephes erfc on 1 <= z < 8."""
+    return np.exp(-z * z) * _poly(z, _ERFC_P) / _poly(z, _ERFC_Q, monic=True)
+
+
+def _erfc_far(z):
+    """erfc on z >= 8, with cephes's cutoff: 0 once z^2 > MAXLOG.
+
+    ``exp(-z^2)`` times a 12-term Laplace continued fraction for
+    ``erfcx``, within 1 ulp of it on [8, 27]; cephes's own rational tail
+    is 7e-14 off there.  nan stays nan.
+    """
+    z = np.minimum(z, 27.0)  # erfc is 0 past 27; keeps z * z finite
+    zz = z * z
+    t = z
+    for k in range(12, 0, -1):
+        t = z + 0.5 * k / t
+    return np.where(zz > _MAXLOG, 0.0, np.exp(-zz) * (_INV_SQRT_PI / t))
+
+
+def _reflected(erfc):
+    """ndtr off the centre from erfc(|x|): half of it, or 1 minus that."""
+    def piece(x):
+        half = 0.5 * erfc(np.abs(x))
+        return np.where(x > 0.0, 1.0 - half, half)
+    return piece
+
+
+def ndtr(a):
+    """Standard normal CDF by the cephes ``ndtr`` algorithm, in numpy.
+
+    ``0.5 + 0.5 erf(a/sqrt2)`` where ``|a| < 1``, else ``0.5 erfc(|a|/sqrt2)``
+    reflected for positive ``a``, so the far tails are exactly 0 and 1 once
+    ``a^2/2 > MAXLOG``.  Agrees with ``scipy.special.ndtr`` to 1e-15
+    relative (1.2e-15 below ``a = -8 sqrt2``); nan stays nan.  Each piece
+    runs only on the entries in its range.
+    """
+    x = np.asarray(a, dtype=float) * _SQRT1_2
+    z = np.abs(x)
+    centre, below_1, below_8 = z < _SQRT1_2, z < 1.0, z < 8.0
+    y = np.empty_like(x)
+    for mask, piece in ((centre, lambda v: 0.5 + 0.5 * _erf(v)),
+                        (below_1 & ~centre, _reflected(lambda v: 1.0 - _erf(v))),
+                        (below_8 & ~below_1, _reflected(_erfc_near)),
+                        (~below_8, _reflected(_erfc_far))):  # nan included
+        if mask.any():
+            y[mask] = piece(x[mask])
+    return y[()]
 
 
 @dataclass(frozen=True)
@@ -85,7 +171,7 @@ def _gaussian() -> DistributionSpec:
             tau_prime_bound=0.0,
         ),
         moment8=105.0,
-        cdf=lambda x: special.ndtr(np.asarray(x, dtype=float)),
+        cdf=ndtr,
         quad_window=density_window(density, (-math.inf, math.inf)),
     )
 
@@ -151,6 +237,9 @@ def _student_t(beta: float) -> DistributionSpec:
     if beta <= 16.0:
         raise MomentConditionViolated(
             f"student_t requires beta > 16 for finite 8th kernel moments, got {beta}")
+    # Only student_t laws need scipy, so only they pay for importing it.
+    from scipy import special
+
     scale = math.sqrt((beta - 2.0) / beta)
     log_norm = (special.gammaln((beta + 1.0) / 2.0)
                 - special.gammaln(beta / 2.0)

@@ -142,7 +142,7 @@ def fit_score(sample, bin_config: BinConfig = BinConfig()) -> BinnedScore:
     n = fs.size
     bins = max(1, int(bin_config.bins))
     cut = np.round(np.linspace(0, n, bins + 1)).astype(int)
-    cut = np.unique(cut)
+    cut = cut[np.concatenate(([True], cut[1:] != cut[:-1]))]  # sorted: drop repeats
 
     # Merge runs whose count falls under min_count into their left neighbor.
     keep = [0]
@@ -150,7 +150,7 @@ def fit_score(sample, bin_config: BinConfig = BinConfig()) -> BinnedScore:
         if cut[i] - cut[keep[-1]] >= bin_config.min_count:
             keep.append(i)
     keep.append(cut.size - 1)
-    cut = cut[np.unique(keep)]
+    cut = cut[keep]  # keep is strictly increasing
     # the trailing bin may still be short; fold it into its neighbor
     while cut.size > 2 and cut[-1] - cut[-2] < bin_config.min_count:
         cut = np.delete(cut, -2)

@@ -76,8 +76,11 @@ def tanh_link() -> SmoothLink:
 def affine_sin_link(a: float, b: float) -> SmoothLink:
     if not (math.isfinite(a) and math.isfinite(b)):
         raise InvalidInput("affine_sin needs finite coefficients")
-    if a + b == 0.0:
-        raise InvalidInput("affine_sin needs a + b != 0")
+    if a + b == 0.0 or not math.isfinite(a + b):
+        raise InvalidInput("affine_sin needs a finite a + b != 0")
+    # a * x keeps only a few bits when a is subnormal, whatever the scaling
+    if any(0.0 < abs(c) < np.finfo(float).tiny for c in (a, b)):
+        raise InvalidInput("affine_sin coefficients must be 0 or normal floats")
     return SmoothLink(
         name=f"affine_sin({a:g},{b:g})",
         h=lambda x: a * np.asarray(x, dtype=float) + b * np.sin(np.asarray(x, dtype=float)),
@@ -86,6 +89,29 @@ def affine_sin_link(a: float, b: float) -> SmoothLink:
         h_prime_at_0=a + b,
         sup_h_prime=abs(a) + abs(b),
         sup_h_second=abs(b),
+    )
+
+
+def _unit_scaled(link: SmoothLink) -> SmoothLink:
+    """``link`` times the power of two nearest ``1/|H'(0)|`` (itself if 1).
+
+    ``F`` is unchanged by ``H -> cH`` for ``c > 0``, and a power of two
+    multiplies exactly, so a link with ``H'(0)`` of order one gives the same
+    bits either way, while tiny or huge coefficients come to unit scale,
+    where ``hp0 * hp`` and ``sigma ** 2`` neither underflow nor overflow.
+    """
+    frac, exp = math.frexp(abs(link.h_prime_at_0))
+    k = -exp if frac > math.sqrt(0.5) else 1 - exp
+    if k == 0:
+        return link
+    return SmoothLink(
+        name=link.name,
+        h=lambda x: np.ldexp(link.h(x), k),
+        h_prime=lambda x: np.ldexp(link.h_prime(x), k),
+        h_second=lambda x: np.ldexp(link.h_second(x), k),
+        h_prime_at_0=math.ldexp(link.h_prime_at_0, k),
+        sup_h_prime=math.ldexp(link.sup_h_prime, k),
+        sup_h_second=math.ldexp(link.sup_h_second, k),
     )
 
 
@@ -110,7 +136,9 @@ def link_by_name(name: str) -> SmoothLink:
 class SampleMeanModel:
     """Link, coordinate laws, and the normalizing moments of the statistic.
 
-    ``mu_h`` and ``sigma`` are ``E[H(Xbar)]`` and ``sqrt(Var F)``; for the
+    ``mu_h`` and ``sigma`` are ``E[H(Xbar)]`` and ``sqrt(Var F)`` for the
+    model's ``link``, which :func:`sample_mean_model` scales to
+    ``|H'(0)|`` in ``(1/sqrt2, sqrt2]``; for the
     identity link over standardized laws they are exactly (0, 1), otherwise
     they come from a Monte Carlo pre-pass whose standard errors are kept in
     ``pre_pass_se``.
@@ -207,11 +235,14 @@ def sample_mean_model(link: SmoothLink, dists, n: Optional[int] = None, *,
                       stream=None, prepass_reps: int = 10 ** 5) -> SampleMeanModel:
     """Build a model, supplying ``(mu_h, sigma)`` exactly or by pre-pass.
 
-    The identity link over standardized laws has the exact moments (0, 1);
-    any other link requires a stream for the Monte Carlo pre-pass, which is
-    kept disjoint from the main run by seeding convention.
+    The link is first scaled by the power of two nearest ``1/|H'(0)|``,
+    which leaves ``F`` unchanged.  The identity link over standardized laws
+    has the exact moments (0, 1); any other link requires a stream for the
+    Monte Carlo pre-pass, which is kept disjoint from the main run by
+    seeding convention.
     """
     dists = _normalize_dists(dists, n)
+    link = _unit_scaled(link)
     if link.name == "identity":
         mu, sigma, se = 0.0, 1.0, (0.0, 0.0)
     else:

@@ -12,6 +12,9 @@ from __future__ import annotations
 import zlib
 
 import numpy as np
+# numpy loads ``numpy.random`` lazily; every substream needs it, so load it
+# with the package rather than inside the first timed draw.
+import numpy.random  # noqa: F401
 
 _MASK64 = (1 << 64) - 1
 

@@ -275,11 +275,12 @@ def test_runtime_errors_exit_2_with_field(tmp_path, capsys, argv, field):
     assert payload["error"] == "config" and field in payload["detail"]
 
 
-# A zero pre-pass variance, an infinite coefficient and an infinite sigma:
-# none of them has a finite estimate to report.
-@pytest.mark.parametrize("link", ["affine_sin(1e-300,1e-300)",
-                                  "affine_sin(1e999,1)",
-                                  "affine_sin(1e200,1e200)"])
+# An infinite coefficient, an H'(0) = a + b that overflows and a subnormal
+# coefficient: validate refuses all three, so no warning or estimate comes
+# first.
+@pytest.mark.parametrize("link", ["affine_sin(1e999,1)",
+                                  "affine_sin(1e308,1e308)",
+                                  "affine_sin(1e-320,0)"])
 def test_extreme_affine_sin_links_exit_2_with_link(tmp_path, capsys, link):
     out = tmp_path / "o.csv"
     argv = ["run", "--experiment", "samplemean_rate", "--dist", "uniform",
@@ -291,6 +292,28 @@ def test_extreme_affine_sin_links_exit_2_with_link(tmp_path, capsys, link):
     payload = json.loads(err.strip().splitlines()[-1])
     assert payload["error"] == "config" and "link" in payload["detail"]
     assert not out.exists()
+
+
+# F does not change when the link is scaled, and the model scales it to
+# unit H'(0) by a power of two, so coefficients far from 1 give the rows of
+# affine_sin(1,1) up to rounding, where the pre-pass once underflowed or
+# overflowed.
+@pytest.mark.parametrize("link", ["affine_sin(1e-160,1e-160)",
+                                  "affine_sin(1e77,1e77)",
+                                  "affine_sin(1e-300,1e-300)",
+                                  "affine_sin(1e200,1e200)"])
+def test_affine_sin_rows_are_scale_free(tmp_path, link):
+    rows = {}
+    for name in ("affine_sin(1,1)", link):
+        out = tmp_path / "o.csv"
+        assert main(["run", "--experiment", "samplemean_rate", "--dist",
+                     "uniform", "--n-grid", "8", "--reps", "1000", "--link",
+                     name, "--out-path", str(out)]) == 0
+        rows[name] = [(r.estimate, r.standard_error)
+                      for r in rows_from_csv(out.read_text())
+                      if r.estimator == "fisher_upper"]
+    (ref,), (got,) = rows.values()
+    assert got == pytest.approx(ref, rel=1e-13)
 
 
 CATALOG_LAWS = ("gaussian", "uniform", "exponential_centered", "student_t(20)")

@@ -10,7 +10,7 @@ from steinfisher.distances import (UNIFORM_DENSITY_COEFF, convert,
 from steinfisher.errors import InsufficientData, InvalidInput
 from steinfisher.estimate import fisher_distance_upper
 from steinfisher.samplemean import linear_sum_pairs
-from steinfisher.distributions import catalog_get
+from steinfisher.distributions import CHUNK, catalog_get, ndtr
 from steinfisher.streams import substream
 
 
@@ -61,6 +61,25 @@ def test_kolmogorov_gaussian_draws():
     g = catalog_get("gaussian")
     draws = g.sampler(substream(3, "kol"), 10 ** 5)
     assert kolmogorov_empirical(draws) <= 0.01
+
+
+def _kolmogorov_whole_array(samples, cdf):
+    x = np.sort(samples)
+    n = x.size
+    c = cdf(x)
+    return float(max(np.max(np.arange(1, n + 1) / n - c),
+                     np.max(c - np.arange(0, n) / n)))
+
+
+@pytest.mark.parametrize("n", [10 ** 4, 3 * CHUNK, 3 * CHUNK + 1])
+def test_kolmogorov_chunks_equal_the_whole_array_formula(n):
+    from scipy import special
+    # slightly off the standard normal, so the sup sits inside the sample
+    draws = 1.1 * catalog_get("gaussian").sampler(substream(4, "kol", n), n) + 0.05
+    got = kolmogorov_empirical(draws)
+    assert got == _kolmogorov_whole_array(draws, ndtr)
+    assert got == pytest.approx(_kolmogorov_whole_array(draws, special.ndtr),
+                                rel=0, abs=1e-15)
 
 
 def test_kolmogorov_constant_samples():

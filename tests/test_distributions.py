@@ -8,7 +8,7 @@ import pytest
 
 import steinfisher
 from steinfisher.distributions import (CHUNK, catalog_get, chunk_sizes,
-                                       kernel_columns, sample_columns)
+                                       kernel_columns, ndtr, sample_columns)
 from steinfisher.errors import MomentConditionViolated, NotInCatalog
 from steinfisher.quadrature import integrate
 from steinfisher.stein_core import tau_by_quadrature
@@ -145,13 +145,60 @@ def test_student_t_cdf_matches_scipy_stats():
                           stats.t.cdf(grid / scale, 20.0))
 
 
+def test_student_t_density_matches_scipy_gammaln_to_the_bit():
+    # scipy is imported inside _student_t; the CDF is checked against
+    # scipy.stats above, and the normalizer is gammaln's, not math.lgamma's.
+    from scipy import special
+    beta = 20.0
+    scale = math.sqrt((beta - 2.0) / beta)
+    log_norm = (special.gammaln((beta + 1.0) / 2.0) - special.gammaln(beta / 2.0)
+                - 0.5 * math.log(beta * math.pi))
+    x = np.linspace(-8.0, 8.0, 801)
+    t = x / scale
+    expected = np.exp(log_norm - 0.5 * (beta + 1.0) * np.log1p(t * t / beta)) / scale
+    assert np.array_equal(catalog_get("student_t(20)").density(x), expected)
+
+
+def test_ndtr_matches_scipy_special():
+    from scipy import special
+    grid = np.linspace(-40.0, 40.0, 400_001)
+    tiny = np.finfo(float).smallest_subnormal
+    edges = np.array([np.inf, -np.inf, 0.0, -0.0, tiny, -tiny, 1e-310,
+                      -1e-310, 2.2e-308, np.sqrt(2.0), -np.sqrt(2.0),
+                      8.0 * np.sqrt(2.0), -8.0 * np.sqrt(2.0), 1e300, -1e300])
+    x = np.concatenate([grid, np.nextafter(grid, np.inf), edges])
+    got, want = ndtr(x), special.ndtr(x)
+    # 1e-15 relative, or one ulp where the value is subnormal.  Below
+    # a = -8 sqrt2 (erfc past 8) each side is 2-3 ulp from exp(-z^2) erfcx(z)
+    # at the rounded z^2, so the two may differ by 5 ulp there.
+    far = x < -8.0 * np.sqrt(2.0)
+    np.testing.assert_allclose(got[~far], want[~far], rtol=1e-15, atol=tiny)
+    np.testing.assert_allclose(got[far], want[far], rtol=1.2e-15, atol=tiny)
+    assert np.isnan(ndtr(np.nan)) and np.isnan(ndtr(np.array([np.nan, 1.0]))[0])
+    assert np.signbit(ndtr(-0.0)) == np.signbit(special.ndtr(-0.0))
+
+
+def test_ndtr_cutoff_is_exact_and_scalars_stay_scalars():
+    from scipy import special
+    # erfc(z) is exactly 0 once z^2 > MAXLOG, that is |a| > 37.677...
+    far = np.array([37.68, 38.0, 40.0, 1e10, 1e300, np.inf])
+    assert np.all(ndtr(far) == 1.0) and np.all(ndtr(-far) == 0.0)
+    assert np.array_equal(special.ndtr(-far), ndtr(-far))
+    assert ndtr(-37.6) > 0.0
+    assert isinstance(ndtr(0.3), float) and ndtr(0.3) == special.ndtr(0.3)
+    assert ndtr(np.zeros((2, 3))).shape == (2, 3)
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
+    # No scipy module at all: only a student_t law imports scipy.special.
     src = str(Path(steinfisher.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
-            "import steinfisher.cli; print('scipy.stats' in sys.modules)")
+            "loaded = lambda: sorted(m for m in sys.modules if m.startswith('scipy')); "
+            "import steinfisher; print(loaded()); "
+            "import steinfisher.cli; print(loaded())")
     out = subprocess.run([sys.executable, "-c", code, src], check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.split() == ["[]", "[]"]
 
 
 @pytest.mark.parametrize("reps,size,expected", [

@@ -31,6 +31,27 @@ def test_link_parsing_and_bounds():
         affine_sin_link(1.0, -1.0)  # H'(0) = 0
 
 
+def test_model_scales_the_link_by_a_power_of_two():
+    u = catalog_get("uniform")
+    models = [sample_mean_model(affine_sin_link(a, b), [u] * 8, 8,
+                                stream=substream(13, "pp"), prepass_reps=10 ** 4)
+              for a, b in ((1.0, 0.5), (4.0, 2.0), (2.0 ** -600, 2.0 ** -601))]
+    # H'(0) = 1.5 times 2^0, 2^2 and 2^-600, all brought to 0.75
+    assert [m.link.h_prime_at_0 for m in models] == [0.75] * 3
+    assert models[0].link.name == "affine_sin(1,0.5)"
+    x = sample_columns([u] * 8, substream(13, "x"), 3000)
+    first = models[0].evaluate(x)
+    for other in models[1:]:
+        assert (other.mu_h, other.sigma) == (models[0].mu_h, models[0].sigma)
+        sample = other.evaluate(x)
+        for a, b in ((first.f, sample.f), (first.h, sample.h),
+                     (first.aux, sample.aux)):
+            assert np.array_equal(a, b)
+    # unit links are left as they are
+    assert sample_mean_model(sin_link(), [u] * 8, 8, stream=substream(13, "pp"),
+                             prepass_reps=10 ** 4).link.h is np.sin
+
+
 def test_model_needs_a_coordinate():
     with pytest.raises(InvalidInput):
         sample_mean_model(identity_link(), [])
