@@ -185,9 +185,10 @@ def parse_matrix(path: str) -> quadform.CoefficientMatrix:
     """Parse and strictly validate the plain-text matrix format.
 
     First line is the dimension ``n``; each of the next ``n`` lines holds
-    ``n`` whitespace-separated finite reals.  A non-finite entry, asymmetry,
-    a nonzero diagonal, or a dimension mismatch raise :class:`ParseError`
-    with the offending line.
+    ``n`` whitespace-separated finite reals, and only blank lines may follow.
+    A non-finite entry, asymmetry, a nonzero diagonal, a dimension mismatch
+    or a non-blank line after row ``n`` raise :class:`ParseError` with the
+    offending line.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -227,6 +228,10 @@ def parse_matrix(path: str) -> quadform.CoefficientMatrix:
                 raise ParseError(
                     f"asymmetric entries a[{i}][{j}] = {a[i, j]} vs "
                     f"a[{j}][{i}] = {a[j, i]}", line=j + 2)
+    for lineno, extra in enumerate(lines[n + 1:], start=n + 2):
+        if extra.strip():
+            raise ParseError(f"line after the {n} matrix rows: {extra!r}",
+                             line=lineno)
     return quadform.CoefficientMatrix(a)
 
 

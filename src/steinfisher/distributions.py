@@ -136,7 +136,6 @@ class DistributionSpec:
     """
 
     name: str
-    support: tuple
     density: Callable
     log_density_derivative: Callable
     sampler: Callable
@@ -161,7 +160,6 @@ def _gaussian() -> DistributionSpec:
 
     return DistributionSpec(
         name="gaussian",
-        support=(-math.inf, math.inf),
         density=density,
         log_density_derivative=lambda x: -np.asarray(x, dtype=float),
         sampler=lambda stream, size=None: stream.standard_normal(size),
@@ -189,7 +187,6 @@ def _uniform() -> DistributionSpec:
 
     return DistributionSpec(
         name="uniform",
-        support=(lo, hi),
         density=density,
         log_density_derivative=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         sampler=sampler,
@@ -218,7 +215,6 @@ def _exponential_centered() -> DistributionSpec:
 
     return DistributionSpec(
         name="exponential_centered",
-        support=(-1.0, math.inf),
         density=density,
         log_density_derivative=lambda y: -np.ones_like(np.asarray(y, dtype=float)),
         sampler=sampler,
@@ -262,7 +258,6 @@ def _student_t(beta: float) -> DistributionSpec:
                / ((beta - 4.0) * (beta - 6.0) * (beta - 8.0)))
     return DistributionSpec(
         name=f"student_t({beta:g})",
-        support=(-math.inf, math.inf),
         density=density,
         log_density_derivative=score,
         sampler=sampler,
@@ -321,13 +316,12 @@ def sample_columns(dists, stream, m: int) -> np.ndarray:
 
 
 def kernel_columns(dists, x: np.ndarray):
-    """Stein kernels ``(tau, tau')`` of column ``k`` of ``x`` under ``dists[k]``.
+    """Stein kernels ``(tau, tau')`` of row ``k`` of ``x`` under ``dists[k]``.
 
+    ``x`` is a coordinate-major ``(n, s)`` block: one row per coordinate.
     Each run of consecutive identical specs is evaluated by one ``tau`` and
-    one ``tau_prime`` call on its 2-D slice of columns; the kernels are
-    elementwise, so the values are those of a column-by-column evaluation.
-    Both results keep the memory layout of ``x``, so a coordinate-major
-    block gives coordinate-major kernels.
+    one ``tau_prime`` call on its 2-D slice of rows; the kernels are
+    elementwise, so the values are those of a row-by-row evaluation.
     """
     tau = np.empty_like(x)
     taup = np.empty_like(x)
@@ -335,9 +329,9 @@ def kernel_columns(dists, x: np.ndarray):
     for stop in range(1, len(dists) + 1):
         if stop < len(dists) and dists[stop] is dists[start]:
             continue
-        dist, cols = dists[start], x[:, start:stop]
-        tau[:, start:stop] = dist.tau(cols)
-        taup[:, start:stop] = dist.tau_prime(cols)
+        dist, rows = dists[start], x[start:stop]
+        tau[start:stop] = dist.tau(rows)
+        taup[start:stop] = dist.tau_prime(rows)
         start = stop
     return tau, taup
 

@@ -18,6 +18,7 @@ from .errors import GuardDominated, InsufficientData, InvalidInput
 
 GUARD = 1e-10  # draws with |normalizer| below this carry no H
 GUARDED_FRACTION_LIMIT = 0.01
+MIN_BIN_COUNT = 50  # fit_score merges smaller bins into a neighbor
 
 
 class ScoreSample:
@@ -113,7 +114,6 @@ def fisher_distance_upper(sample):
 @dataclass(frozen=True)
 class BinConfig:
     bins: int = 64
-    min_count: int = 50
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,6 @@ class BinnedScore:
     bin_edges: np.ndarray
     bin_means: np.ndarray
     bin_counts: np.ndarray
-    min_count: int
 
     def evaluate(self, x):
         """Piecewise-constant score; points outside clamp to the end bins."""
@@ -134,7 +133,7 @@ class BinnedScore:
 
 
 def fit_score(sample, bin_config: BinConfig = BinConfig()) -> BinnedScore:
-    """Equal-mass binning of ``-H`` on ``F``; bins under ``min_count`` merge."""
+    """Equal-mass binning of ``-H`` on ``F``; bins under ``MIN_BIN_COUNT`` merge."""
     sample = _checked(sample, 10 ** 4)
     f, h = sample.unguarded()
     order = np.argsort(f, kind="stable")
@@ -144,15 +143,15 @@ def fit_score(sample, bin_config: BinConfig = BinConfig()) -> BinnedScore:
     cut = np.round(np.linspace(0, n, bins + 1)).astype(int)
     cut = cut[np.concatenate(([True], cut[1:] != cut[:-1]))]  # sorted: drop repeats
 
-    # Merge runs whose count falls under min_count into their left neighbor.
+    # Merge runs whose count falls under MIN_BIN_COUNT into their left neighbor.
     keep = [0]
     for i in range(1, cut.size - 1):
-        if cut[i] - cut[keep[-1]] >= bin_config.min_count:
+        if cut[i] - cut[keep[-1]] >= MIN_BIN_COUNT:
             keep.append(i)
     keep.append(cut.size - 1)
     cut = cut[keep]  # keep is strictly increasing
     # the trailing bin may still be short; fold it into its neighbor
-    while cut.size > 2 and cut[-1] - cut[-2] < bin_config.min_count:
+    while cut.size > 2 and cut[-1] - cut[-2] < MIN_BIN_COUNT:
         cut = np.delete(cut, -2)
     counts = np.diff(cut)
 
@@ -163,8 +162,7 @@ def fit_score(sample, bin_config: BinConfig = BinConfig()) -> BinnedScore:
     for i in range(1, edges.size):
         if edges[i] <= edges[i - 1]:
             edges[i] = np.nextafter(edges[i - 1], np.inf)
-    return BinnedScore(bin_edges=edges, bin_means=means,
-                       bin_counts=counts, min_count=bin_config.min_count)
+    return BinnedScore(bin_edges=edges, bin_means=means, bin_counts=counts)
 
 
 def fisher_distance_plugin(sample, score: BinnedScore):

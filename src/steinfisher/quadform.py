@@ -1,9 +1,10 @@
 """Quadratic forms over independent standardized inputs.
 
-Implements the model ``F = sum_{u<v} a_uv X_u X_v`` with its closed-form
-normalizing statistic ``Theta``, the gradient of ``Theta``, the score-pair
-draw used by the Fisher-distance estimators, matrix functionals entering
-the rate bounds, and the exact Gaussian negative-moment norm.
+Implements the model ``F = sum_{u<v} a_uv X_u X_v``: the score-pair draw
+used by the Fisher-distance estimators, whose closed-form normalizing
+statistic ``Theta`` and its gradient are written out in
+:meth:`QuadFormModel.evaluate`, matrix functionals entering the rate
+bounds, and the exact Gaussian negative-moment norm.
 """
 
 from __future__ import annotations
@@ -150,33 +151,18 @@ class QuadFormModel:
             draws = slice(j, j + xs.shape[1])
             r = a @ xs
             f[draws] = (xs * r).sum(axis=0)
-            tau, taup = kernel_columns(self.dists, xs.T)
-            tau, taup = tau.T, taup.T
+            tau, taup = kernel_columns(self.dists, xs)
             r2 = r * r
             tau_r = tau * r
             theta[draws] = (r2 * tau).sum(axis=0)
             # grad Theta = A (tau r) + (tau' / 2) r^2, and
-            # L_k Theta = tau_k r_k / 2
+            # L_k F = tau_k r_k / 2
             theta_theta_f[draws] = (
                 (a @ tau_r + 0.5 * taup * r2) * tau_r).sum(axis=0)
         f = 0.5 * f / self.sigma
         theta = 0.5 * theta / self.sigma2
         theta_theta_f = 0.5 * theta_theta_f / (self.sigma2 * self.sigma)
         return ScoreSample.represent(f, f, theta, theta_theta_f)
-
-    def theta_value(self, x) -> float:
-        """Normalizer at one point, on the same scale the draws use."""
-        x = np.asarray(x, dtype=float)[None, :]
-        return float(self.evaluate(x).aux[0])
-
-    def theta_gradient(self, x) -> np.ndarray:
-        """Closed-form gradient of :meth:`theta_value` at one point."""
-        x = np.asarray(x, dtype=float)[None, :]
-        a = self.matrix.entries
-        r = x @ a
-        tau, taup = kernel_columns(self.dists, x)
-        grad = ((tau * r) @ a + 0.5 * taup * r ** 2)[0]
-        return grad / self.sigma2
 
 
 def draw_score_pairs(model: QuadFormModel, stream, reps: int) -> ScoreSample:

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 # bench/tracing.py wraps the ``sample_columns`` binding; no draw here calls it.
-from .distributions import chunk_sizes, kernel_columns, sample_columns
+from .distributions import chunk_sizes, sample_columns
 from .errors import DegenerateVariance, InvalidInput
 from .estimate import ScoreSample
 
@@ -31,8 +31,6 @@ class SmoothLink:
     h_prime: Callable
     h_second: Callable
     h_prime_at_0: float
-    sup_h_prime: float
-    sup_h_second: float
 
     def __post_init__(self):
         if self.h_prime_at_0 == 0.0:
@@ -46,8 +44,6 @@ def identity_link() -> SmoothLink:
         h_prime=lambda x: np.ones_like(np.asarray(x, dtype=float)),
         h_second=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         h_prime_at_0=1.0,
-        sup_h_prime=1.0,
-        sup_h_second=0.0,
     )
 
 
@@ -56,20 +52,18 @@ def sin_link() -> SmoothLink:
         name="sin",
         h=np.sin, h_prime=np.cos,
         h_second=lambda x: -np.sin(np.asarray(x, dtype=float)),
-        h_prime_at_0=1.0, sup_h_prime=1.0, sup_h_second=1.0,
+        h_prime_at_0=1.0,
     )
 
 
 def tanh_link() -> SmoothLink:
-    # |(tanh)''| = |2 t (1 - t^2)| with t = tanh(x); max at t = 1/sqrt(3).
     return SmoothLink(
         name="tanh",
         h=np.tanh,
         h_prime=lambda x: 1.0 / np.cosh(np.asarray(x, dtype=float)) ** 2,
         h_second=lambda x: -2.0 * np.tanh(np.asarray(x, dtype=float))
         / np.cosh(np.asarray(x, dtype=float)) ** 2,
-        h_prime_at_0=1.0, sup_h_prime=1.0,
-        sup_h_second=4.0 / (3.0 * math.sqrt(3.0)),
+        h_prime_at_0=1.0,
     )
 
 
@@ -87,8 +81,6 @@ def affine_sin_link(a: float, b: float) -> SmoothLink:
         h_prime=lambda x: a + b * np.cos(np.asarray(x, dtype=float)),
         h_second=lambda x: -b * np.sin(np.asarray(x, dtype=float)),
         h_prime_at_0=a + b,
-        sup_h_prime=abs(a) + abs(b),
-        sup_h_second=abs(b),
     )
 
 
@@ -110,8 +102,6 @@ def _unit_scaled(link: SmoothLink) -> SmoothLink:
         h_prime=lambda x: np.ldexp(link.h_prime(x), k),
         h_second=lambda x: np.ldexp(link.h_second(x), k),
         h_prime_at_0=math.ldexp(link.h_prime_at_0, k),
-        sup_h_prime=math.ldexp(link.sup_h_prime, k),
-        sup_h_second=math.ldexp(link.sup_h_second, k),
     )
 
 
@@ -259,24 +249,6 @@ def draw_score_pairs_sm(model: SampleMeanModel, stream, reps: int) -> ScoreSampl
                                    for dist in model.dists)
               for m in chunk_sizes(reps)]
     return ScoreSample.concat(blocks)
-
-
-def nabla_value(model: SampleMeanModel, x) -> float:
-    """Normalizer at one coordinate vector, on the standardized scale."""
-    x = np.asarray(x, dtype=float)[None, :]
-    return float(model.evaluate(x).aux[0])
-
-
-def nabla_gradient(model: SampleMeanModel, x) -> np.ndarray:
-    """Closed-form gradient of :func:`nabla_value` in each coordinate."""
-    x = np.asarray(x, dtype=float)[None, :]
-    n = model.n
-    xbar = float(x.mean())
-    tau, taup = kernel_columns(model.dists, x)
-    hp0 = model.link.h_prime_at_0
-    grad = (hp0 * float(model.link.h_second(xbar)) / n ** 2 * tau.sum()
-            + hp0 * float(model.link.h_prime(xbar)) / n * taup[0])
-    return grad / model.sigma ** 2
 
 
 def linear_sum_pairs(dists, n: int, stream, reps: int):

@@ -35,11 +35,13 @@ from steinfisher.quadform import (CoefficientMatrix, QuadFormModel,
                                   gaussian_negative_moment_norm_mc)
 from steinfisher.quadrature import integrate
 from steinfisher.samplemean import (draw_score_pairs_sm, identity_link,
-                                    linear_sum_pairs, nabla_gradient,
-                                    nabla_value, sample_mean_model, sin_link)
+                                    linear_sum_pairs, sample_mean_model,
+                                    sin_link, tanh_link)
 from steinfisher.stein_core import covariance_formula_check, tau_by_quadrature
 from steinfisher.streams import substream
 
+from conftest import (assert_cross_term_matches_finite_differences,
+                      quadform_g, sample_mean_g)
 from test_stein_core import clipped_poly
 
 N_GRID = (8, 16, 32, 64, 128)
@@ -170,45 +172,36 @@ def test_criterion_05_samplemean_rate_sin_gaussian():
 
 
 def test_criterion_06_quadform_algebra():
-    with criterion(6, "closed-form gradients match finite differences"):
+    with criterion(6, "evaluate's cross term matches finite differences"):
         rng_mat = substream(606, "matrix")
         mat = CoefficientMatrix(np.triu(rng_mat.uniform(-1, 1, (8, 8)), 1))
         dists = [catalog_get("uniform")] * 4 + [catalog_get("student_t(20)")] * 4
         model = QuadFormModel(mat, dists)
         stream = substream(606, "draws")
-        step = 1e-5
         for _ in range(100):
             x = np.array([d.sampler(stream) for d in dists])
-            grad = model.theta_gradient(x)
-            fd = np.empty_like(grad)
-            for k in range(x.size):
-                xp, xm = x.copy(), x.copy()
-                xp[k] += step
-                xm[k] -= step
-                fd[k] = (model.theta_value(xp) - model.theta_value(xm)) / (2 * step)
-            rel = np.abs(grad - fd) / np.maximum(np.abs(grad), 1e-8)
-            assert np.max(rel) <= 1e-6
+            assert_cross_term_matches_finite_differences(model, x, quadform_g)
             # decomposition identity: sum_k M_k F = F exactly
             a = mat.entries
             f_val = 0.5 * float(x @ (a @ x))
             parts = 0.5 * x * (a @ x)
             assert abs(parts.sum() - f_val) <= 1e-12 * max(1.0, abs(f_val))
 
+        expo = QuadFormModel(mat, [catalog_get("exponential_centered")] * 8)
         sm = sample_mean_model(sin_link(), [catalog_get("uniform")] * 6, 6,
                                stream=substream(606, "pp"),
                                prepass_reps=10 ** 4)
-        stream2 = substream(606, "draws2")
-        for _ in range(100):
-            x = np.array([d.sampler(stream2) for d in sm.dists])
-            grad = nabla_gradient(sm, x)
-            fd = np.empty_like(grad)
-            for k in range(x.size):
-                xp, xm = x.copy(), x.copy()
-                xp[k] += step
-                xm[k] -= step
-                fd[k] = (nabla_value(sm, xp) - nabla_value(sm, xm)) / (2 * step)
-            rel = np.abs(grad - fd) / np.maximum(np.abs(grad), 1e-8)
-            assert np.max(rel) <= 1e-6
+        sm_expo = sample_mean_model(
+            tanh_link(), [catalog_get("exponential_centered")] * 6, 6,
+            stream=substream(606, "pp", "exponential_centered"),
+            prepass_reps=10 ** 4)
+        for m, g_terms, stream in (
+                (expo, quadform_g, substream(606, "draws3")),
+                (sm, sample_mean_g, substream(606, "draws2")),
+                (sm_expo, sample_mean_g, substream(606, "draws4"))):
+            for _ in range(100):
+                x = np.array([d.sampler(stream) for d in m.dists])
+                assert_cross_term_matches_finite_differences(m, x, g_terms)
 
 
 def test_criterion_07_negative_moments():

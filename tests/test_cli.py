@@ -191,6 +191,23 @@ def test_non_finite_matrix_entries_exit_2(tmp_path, capsys, entry):
     assert not out.exists()
 
 
+def test_matrix_lines_after_row_n_exit_2(tmp_path, capsys):
+    assert parse_matrix(write(tmp_path, "blank.mat", "2\n0 1\n1 0\n\n  \n")).n == 2
+    with pytest.raises(ParseError) as err:
+        parse_matrix(write(tmp_path, "late.mat", "2\n0 1\n1 0\n\n0 0\n"))
+    assert err.value.line == 5
+    mpath = write(tmp_path, "extra.mat", "2\n0 1\n1 0\n5 5 5\ngarbage\n")
+    out = tmp_path / "o.csv"
+    assert main(["run", "--experiment", "quadform_rate", "--dist", "uniform",
+                 "--n-grid", "2", "--reps", "1000", "--matrix-path", mpath,
+                 "--out-path", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert payload["error"] == "parse" and payload["detail"]["line"] == 4
+    assert not out.exists()
+
+
 def test_csv_json_round_trip(tmp_path):
     cfg = ExperimentConfig(experiment="sum_rate", dist="uniform",
                            n_grid=(8, 16, 32, 64), reps=2000, seed=11,

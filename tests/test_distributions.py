@@ -123,18 +123,18 @@ def test_kernel_columns_calls_each_run_of_identical_specs_once():
                for name in ("uniform", "gaussian", "exponential_centered"))
     dists = [u, u, u, g, g, u, e, e]
     plain = [catalog_get(d.name) for d in dists]
-    x = sample_columns(plain, substream(12, "runs"), 300)
+    x = sample_columns(plain, substream(12, "runs"), 300).T
     tau, taup = kernel_columns(dists, x)
     # runs u*3, g*2, u*1, e*2: one tau and one tau' call each, on 2-D slices
-    assert calls == [(name, kernel, (300, width))
+    assert calls == [(name, kernel, (width, 300))
                      for name, width in (("uniform", 3), ("gaussian", 2),
                                          ("uniform", 1),
                                          ("exponential_centered", 2))
                      for kernel in ("tau", "tau_prime")]
     for k, d in enumerate(plain):
-        assert np.array_equal(tau[:, k], d.tau(x[:, k]))
-        assert np.array_equal(taup[:, k], d.tau_prime(x[:, k]))
-    assert tau.T.flags.c_contiguous and taup.T.flags.c_contiguous
+        assert np.array_equal(tau[k], d.tau(x[k]))
+        assert np.array_equal(taup[k], d.tau_prime(x[k]))
+    assert tau.flags.c_contiguous and taup.flags.c_contiguous
 
 
 def test_student_t_cdf_matches_scipy_stats():

@@ -8,7 +8,8 @@ from scipy.stats import norm
 
 from steinfisher.distributions import catalog_get
 from steinfisher.errors import (GuardDominated, InsufficientData, InvalidInput)
-from steinfisher.estimate import (GUARD, BinConfig, ScoreSample,
+from steinfisher.estimate import (GUARD, MIN_BIN_COUNT, BinConfig,
+                                  ScoreSample,
                                   density_representation,
                                   fisher_distance_plugin,
                                   fisher_distance_upper, fit_rate, fit_score,
@@ -75,10 +76,10 @@ def test_upper_requires_data_and_guard_limit():
 
 
 def test_fit_score_merges_undersized_bins():
-    # more bins than the data can fill at min_count forces the merge path
+    # more bins than the data can fill at MIN_BIN_COUNT forces the merge path
     sample = gaussian_sum_sample(reps=10_250)
-    score = fit_score(sample, BinConfig(bins=400, min_count=50))
-    assert np.all(score.bin_counts >= 50)
+    score = fit_score(sample, BinConfig(bins=400))
+    assert np.all(score.bin_counts >= MIN_BIN_COUNT)
     assert int(score.bin_counts.sum()) == len(sample)
     assert np.all(np.diff(score.bin_edges) > 0)
 
@@ -87,7 +88,7 @@ def test_fit_score_recovers_gaussian_score():
     sample = gaussian_sum_sample(reps=100_000)
     score = fit_score(sample)
     assert np.all(np.diff(score.bin_edges) > 0)
-    assert np.all(score.bin_counts >= score.min_count)
+    assert np.all(score.bin_counts >= MIN_BIN_COUNT)
     centers = 0.5 * (score.bin_edges[1:] + score.bin_edges[:-1])
     central = np.abs(centers) <= norm.ppf(0.95)
     assert np.max(np.abs(score.bin_means[central] + centers[central])) <= 0.05

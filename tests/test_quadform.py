@@ -20,7 +20,10 @@ from steinfisher.quadform import (CoefficientMatrix, QuadFormModel,
                                   matrix_functionals)
 from steinfisher.streams import substream
 
-from conftest import CATALOG_NAMES, assert_block_layouts_agree, counting_spec
+from conftest import (CATALOG_NAMES, assert_block_layouts_agree,
+                      assert_cross_term_matches_finite_differences,
+                      assert_stein_identity, counting_spec,
+                      quadform_g)
 
 
 def two_by_two():
@@ -51,22 +54,21 @@ def test_hand_evaluated_draws():
     assert s.h[1] == pytest.approx(-2.0, abs=1e-14)
 
 
-@pytest.mark.parametrize("name", ["gaussian", "uniform", "student_t(20)"])
+@pytest.mark.parametrize("name", ["gaussian", "uniform", "student_t(20)",
+                                  "exponential_centered"])
 def test_grad_theta_matches_finite_differences(name):
     model = random_model(6, name, seed=11)
     stream = substream(21, "fd", name)
-    step = 1e-5
     for _ in range(25):
         x = np.array([d.sampler(stream) for d in model.dists])
-        grad = model.theta_gradient(x)
-        fd = np.empty_like(grad)
-        for k in range(x.size):
-            xp, xm = x.copy(), x.copy()
-            xp[k] += step
-            xm[k] -= step
-            fd[k] = (model.theta_value(xp) - model.theta_value(xm)) / (2 * step)
-        denom = np.maximum(np.abs(grad), 1e-8)
-        assert np.max(np.abs(grad - fd) / denom) <= 1e-6
+        assert_cross_term_matches_finite_differences(model, x, quadform_g)
+
+
+@pytest.mark.parametrize("name", ["uniform", "exponential_centered"])
+def test_stein_identity_of_h(name):
+    model = QuadFormModel(banded_coefficients(16, 2), [catalog_get(name)] * 16)
+    assert_stein_identity(draw_score_pairs(
+        model, substream(1, "stein", name), 2 * 10 ** 5))
 
 
 def test_decomposition_identity_per_draw():
