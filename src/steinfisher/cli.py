@@ -1,7 +1,8 @@
 """Batch front end: experiment configs, seed management, CSV/JSON emission.
 
 Config files are flat ``key = value`` text; every field can be overridden
-by a command-line flag.  Example::
+by the flag of the same name (``n_grid`` is ``--n-grid``); both are read
+as text and converted by one table.  Example::
 
     experiment = sum_rate
     dist = uniform
@@ -30,9 +31,11 @@ the whole run's.  ``STEINFISHER_THREADS`` caps shard-level worker
 threads (shards merge in fixed order either way).
 
 Exit codes: 0 success; 2 a config that cannot run, with field-level JSON on
-stderr (this includes a divergent negative moment, an all-zero matrix and a
-link whose pre-pass variance is zero or not finite, found only once the run
-starts); 3 an estimate the program will not report:
+stderr (this includes text that does not read as its field's type, a config
+or matrix file that cannot be read, and, found only once the run starts, a
+divergent negative moment, an all-zero matrix and a link whose pre-pass
+variance is zero or not finite), or a config or matrix file that does not
+parse, reported with its line; 3 an estimate the program will not report:
 guard-dominated draws, or a quadrature that missed its tolerance.
 """
 
@@ -93,34 +96,57 @@ class ResultRow:
     wall_time_ms: int = 0
 
 
+def _read_lines(path: str, field: str) -> list:
+    """The lines of a UTF-8 text file; one that cannot be read is a
+    :class:`ConfigError` on ``field``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError({field: f"cannot read {path!r}: {reason}"})
+
+
 def parse_config_file(path: str) -> dict:
     """Read the flat key=value format; '#' starts a comment."""
     values: dict = {}
     known = {f.name for f in fields(ExperimentConfig)}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError(f"expected 'key = value', got {raw!r}", line=lineno)
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in known:
-                raise ParseError(f"unknown config key {key!r}", line=lineno)
-            values[key] = value
+    for lineno, raw in enumerate(_read_lines(path, "config"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParseError(f"expected 'key = value', got {raw!r}", line=lineno)
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in known:
+            raise ParseError(f"unknown config key {key!r}", line=lineno)
+        values[key] = value
     return values
 
 
+# Readers of the fields that are not text, with what each expects.
+_READERS = {
+    "n_grid": (lambda text: tuple(int(tok) for tok in text.split(",")
+                                  if tok.strip()), "comma-separated integers"),
+    "reps": (int, "an integer"),
+    "seed": (int, "an integer"),
+    "alpha": (float, "a number"),
+    "fisher_value": (float, "a number"),
+}
+
+
 def _coerce(values: dict) -> dict:
-    out = dict(values)
-    if "n_grid" in out and isinstance(out["n_grid"], str):
-        out["n_grid"] = tuple(int(tok) for tok in out["n_grid"].split(",") if tok.strip())
-    for key in ("reps", "seed"):
-        if key in out and isinstance(out[key], str):
-            out[key] = int(out[key])
-    for key in ("alpha", "fisher_value"):
-        if key in out and isinstance(out[key], str):
-            out[key] = float(out[key])
+    """Field values from their text, whether from a flag or a config file;
+    text that does not read as its field's type is a :class:`ConfigError`."""
+    out, problems = {}, {}
+    for key, text in values.items():
+        reader, expected = _READERS.get(key, (str, "text"))
+        try:
+            out[key] = reader(text)
+        except ValueError:
+            problems[key] = f"expected {expected}, got {text!r}"
+    if problems:
+        raise ConfigError(problems)
     return out
 
 
@@ -190,8 +216,7 @@ def parse_matrix(path: str) -> quadform.CoefficientMatrix:
     or a non-blank line after row ``n`` raise :class:`ParseError` with the
     offending line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_lines(path, "matrix_path")
     if not lines:
         raise ParseError("empty matrix file", line=1)
     try:
@@ -397,8 +422,12 @@ def run(config: ExperimentConfig, *, emit_timing=False) -> list:
         rows = [replace(row, wall_time_ms=0) for row in rows]
     text = (rows_to_csv(rows) if config.format == "csv"
             else rows_to_json(rows))
-    with open(config.out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    try:
+        with open(config.out_path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError({"out_path": f"cannot write {config.out_path!r}: "
+                                       f"{exc.strerror or exc}"})
     print(f"{config.experiment}: wrote {len(rows)} rows to {config.out_path} "
           f"in {elapsed_ms} ms", file=sys.stderr)
     return rows
@@ -455,18 +484,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     runp = sub.add_parser("run", help="run one experiment from a config file")
     runp.add_argument("--config", help="path to a key=value config file")
-    runp.add_argument("--experiment", choices=EXPERIMENTS)
-    runp.add_argument("--dist")
-    runp.add_argument("--link")
-    runp.add_argument("--matrix-path", dest="matrix_path")
-    runp.add_argument("--n-grid", dest="n_grid",
-                      help="comma-separated sample sizes, e.g. 8,16,32")
-    runp.add_argument("--reps", type=int)
-    runp.add_argument("--seed", type=int)
-    runp.add_argument("--out-path", dest="out_path")
-    runp.add_argument("--format", choices=("csv", "json"))
-    runp.add_argument("--alpha", type=float)
-    runp.add_argument("--fisher-value", dest="fisher_value", type=float)
+    # One flag per config key, read as text and converted like the file's.
+    for f in fields(ExperimentConfig):
+        runp.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                          help=f"overrides the config key {f.name}")
     runp.add_argument("--timing", action="store_true",
                       help="emit measured wall times (breaks byte determinism)")
     return parser
@@ -492,20 +513,12 @@ _EXIT_CODES = (
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    values: dict = {}
     try:
-        if args.config:
-            values.update(parse_config_file(args.config))
-        for f in fields(ExperimentConfig):
-            cli_value = getattr(args, f.name, None)
-            if cli_value is not None:
-                values[f.name] = cli_value
-        config = ExperimentConfig(**_coerce(values))
-    except (ParseError, ValueError, TypeError) as exc:
-        print(_error_object("config", str(exc)), file=sys.stderr)
-        return 2
-    try:
-        run(config, emit_timing=args.timing)
+        values = parse_config_file(args.config) if args.config else {}
+        values.update((f.name, getattr(args, f.name))
+                      for f in fields(ExperimentConfig)
+                      if getattr(args, f.name) is not None)
+        run(ExperimentConfig(**_coerce(values)), emit_timing=args.timing)
     except SteinFisherError as exc:
         for cls, code, kind, detail in _EXIT_CODES:
             if isinstance(exc, cls):

@@ -16,9 +16,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import MomentConditionViolated, NotInCatalog
-from .quadrature import density_window
 
 CHUNK = 16384  # draws per block in every chunked draw loop
+DENSITY_FLOOR = 1e-16  # quad_window ends where the density falls to this
 
 _SQRT3 = math.sqrt(3.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -131,8 +131,8 @@ class DistributionSpec:
     ``sampler(stream, size=None)`` consumes the supplied generator only;
     there is no hidden state, so specs are shareable across threads.
     ``quad_window`` is the finite interval on which the density stays above
-    the default ``floor`` of :func:`~steinfisher.quadrature.density_window`;
-    all quadratures truncate to it.
+    ``DENSITY_FLOOR``, solved in closed form per law; all quadratures
+    truncate to it.
     """
 
     name: str
@@ -154,6 +154,8 @@ class DistributionSpec:
 
 
 def _gaussian() -> DistributionSpec:
+    edge = math.sqrt(-2.0 * math.log(DENSITY_FLOOR * math.sqrt(2.0 * math.pi)))
+
     def density(x):
         x = np.asarray(x, dtype=float)
         return _INV_SQRT_2PI * np.exp(-0.5 * x * x)
@@ -170,7 +172,7 @@ def _gaussian() -> DistributionSpec:
         ),
         moment8=105.0,
         cdf=ndtr,
-        quad_window=density_window(density, (-math.inf, math.inf)),
+        quad_window=(-edge, edge),
     )
 
 
@@ -225,7 +227,7 @@ def _exponential_centered() -> DistributionSpec:
         ),
         moment8=14833.0,  # E[(Exp(1) - 1)^8], the 8th derangement number
         cdf=cdf,
-        quad_window=density_window(density, (-1.0, math.inf)),
+        quad_window=(-1.0, -1.0 - math.log(DENSITY_FLOOR)),
     )
 
 
@@ -254,6 +256,8 @@ def _student_t(beta: float) -> DistributionSpec:
         v = stream.chisquare(beta, size)
         return z * np.sqrt((beta - 2.0) / v)
 
+    edge = scale * math.sqrt(beta * math.expm1(
+        2.0 * (log_norm - math.log(DENSITY_FLOOR * scale)) / (beta + 1.0)))
     moment8 = (105.0 * (beta - 2.0) ** 3
                / ((beta - 4.0) * (beta - 6.0) * (beta - 8.0)))
     return DistributionSpec(
@@ -268,7 +272,7 @@ def _student_t(beta: float) -> DistributionSpec:
         ),
         moment8=moment8,
         cdf=lambda x: special.stdtr(beta, np.asarray(x, dtype=float) / scale),
-        quad_window=density_window(density, (-math.inf, math.inf)),
+        quad_window=(-edge, edge),
     )
 
 

@@ -18,7 +18,7 @@ from .errors import GuardDominated, InsufficientData, InvalidInput
 
 GUARD = 1e-10  # draws with |normalizer| below this carry no H
 GUARDED_FRACTION_LIMIT = 0.01
-MIN_BIN_COUNT = 50  # fit_score merges smaller bins into a neighbor
+MIN_BIN_COUNT = 50  # fewest draws in one fit_score bin
 
 
 class ScoreSample:
@@ -133,26 +133,16 @@ class BinnedScore:
 
 
 def fit_score(sample, bin_config: BinConfig = BinConfig()) -> BinnedScore:
-    """Equal-mass binning of ``-H`` on ``F``; bins under ``MIN_BIN_COUNT`` merge."""
+    """Equal-mass binning of ``-H`` on ``F`` into at most
+    ``n // MIN_BIN_COUNT`` bins of at least ``MIN_BIN_COUNT`` draws each."""
     sample = _checked(sample, 10 ** 4)
     f, h = sample.unguarded()
     order = np.argsort(f, kind="stable")
     fs, hs = f[order], -h[order]
     n = fs.size
-    bins = max(1, int(bin_config.bins))
+    # n / bins >= MIN_BIN_COUNT, so every rounded count is at least that
+    bins = max(1, min(int(bin_config.bins), n // MIN_BIN_COUNT))
     cut = np.round(np.linspace(0, n, bins + 1)).astype(int)
-    cut = cut[np.concatenate(([True], cut[1:] != cut[:-1]))]  # sorted: drop repeats
-
-    # Merge runs whose count falls under MIN_BIN_COUNT into their left neighbor.
-    keep = [0]
-    for i in range(1, cut.size - 1):
-        if cut[i] - cut[keep[-1]] >= MIN_BIN_COUNT:
-            keep.append(i)
-    keep.append(cut.size - 1)
-    cut = cut[keep]  # keep is strictly increasing
-    # the trailing bin may still be short; fold it into its neighbor
-    while cut.size > 2 and cut[-1] - cut[-2] < MIN_BIN_COUNT:
-        cut = np.delete(cut, -2)
     counts = np.diff(cut)
 
     sums = np.add.reduceat(hs, cut[:-1])

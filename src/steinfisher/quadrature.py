@@ -138,43 +138,3 @@ def integrate_half_line(f, *, tol=DEFAULT_TOL):
 
     return integrate(mapped, 0.0, 1.0, tol=tol, limit=4096, init=8)
 
-
-def density_window(density, support, *, floor=1e-16):
-    """Finite window on which ``density >= floor``, for tail truncation.
-
-    Finite support endpoints are kept as-is; infinite ones are replaced by
-    the (bisected) abscissa where the density falls below ``floor``.
-    """
-    lo, hi = float(support[0]), float(support[1])
-
-    def expand(anchor, direction):
-        step = 1.0
-        x = anchor
-        for _ in range(80):
-            x = anchor + direction * step
-            if density(np.array([x]))[0] < floor:
-                break
-            step *= 2.0
-        else:
-            raise QuadratureFailure("density never drops below the tail floor")
-        inner, outer = anchor + direction * step / 2.0, x
-        if density(np.array([inner]))[0] < floor:
-            inner = anchor
-        for _ in range(60):
-            mid = 0.5 * (inner + outer)
-            if density(np.array([mid]))[0] < floor:
-                outer = mid
-            else:
-                inner = mid
-        return outer
-
-    anchor = 0.0
-    if math.isfinite(lo) and math.isfinite(hi):
-        return lo, hi
-    if math.isfinite(lo):
-        anchor = lo + 1.0
-    elif math.isfinite(hi):
-        anchor = hi - 1.0
-    wlo = lo if math.isfinite(lo) else expand(anchor, -1.0)
-    whi = hi if math.isfinite(hi) else expand(anchor, +1.0)
-    return wlo, whi

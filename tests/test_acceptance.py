@@ -25,12 +25,11 @@ import pytest
 
 from steinfisher.cli import ExperimentConfig, run
 from steinfisher.distances import convert, kolmogorov_empirical
-from steinfisher.distributions import catalog_get, sample_columns
+from steinfisher.distributions import catalog_get
 from steinfisher.estimate import fisher_distance_upper, fit_rate, plugin_split
 from steinfisher.moments import (NegMomentQuery, NonnegativeLaw,
                                  mgf_bound_check, negative_moment, ujmld_trend)
 from steinfisher.quadform import (CoefficientMatrix, QuadFormModel,
-                                  draw_score_pairs,
                                   gaussian_negative_moment_norm,
                                   gaussian_negative_moment_norm_mc)
 from steinfisher.quadrature import integrate

@@ -257,6 +257,16 @@ def test_main_exit_codes(tmp_path):
     assert main(["run", "--config", cfg_path, "--dist", "cauchy"]) == 2
 
 
+def test_config_file_parse_error_exits_2_with_line(tmp_path, capsys):
+    cfg_path = write(tmp_path, "cfg.txt", "# comment\nexperiment = convert\n"
+                     "mystery = 1\n")
+    assert main(["run", "--config", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert payload["error"] == "parse" and payload["detail"]["line"] == 3
+
+
 def test_cli_flag_overrides(tmp_path):
     out = str(tmp_path / "o.json")
     code = main(["run", "--experiment", "convert", "--fisher-value", "0.02",
@@ -279,10 +289,33 @@ def test_cli_flag_overrides(tmp_path):
     (["--experiment", "convert", "--fisher-value", "inf"], "fisher_value"),
     (["--experiment", "negmoment", "--n-grid", "8", "--alpha", "nan"], "alpha"),
     (["--experiment", "negmoment", "--n-grid", "8", "--alpha", "inf"], "alpha"),
+    # text that does not read as its field's type, or a value validate
+    # refuses, whether it comes from a flag or a config file
+    (["--experiment", "sum_rate", "--n-grid", "8", "--reps", "abc"], "reps"),
+    (["--config", "{bad_seed}"], "seed"),
+    (["--experiment", "bogus"], "experiment"),
+    (["--experiment", "convert", "--fisher-value", "1", "--format", "xml"],
+     "format"),
+    (["--experiment", "convert", "--fisher-value", "abc"], "fisher_value"),
+    (["--experiment", "convert", "--fisher-value", "1", "--out-path", ""],
+     "out_path"),
+    # files that cannot be read
+    (["--experiment", "convert", "--config", "{tmp}/missing.cfg"], "config"),
+    (["--experiment", "convert", "--config", "{tmp}"], "config"),
+    (["--experiment", "quadform_rate", "--n-grid", "2",
+      "--matrix-path", "{tmp}"], "matrix_path"),
+    (["--experiment", "quadform_rate", "--n-grid", "2",
+      "--matrix-path", "{latin1_matrix}"], "matrix_path"),
 ])
 def test_runtime_errors_exit_2_with_field(tmp_path, capsys, argv, field):
-    zero_matrix = write(tmp_path, "zero.mat", "2\n0 0\n0 0\n")
-    argv = [a.format(zero_matrix=zero_matrix) for a in argv]
+    files = dict(
+        tmp=str(tmp_path),
+        zero_matrix=write(tmp_path, "zero.mat", "2\n0 0\n0 0\n"),
+        bad_seed=write(tmp_path, "seed.cfg", "experiment = sum_rate\n"
+                       "n_grid = 8\nseed = abc\n"))
+    files["latin1_matrix"] = str(tmp_path / "latin1.mat")
+    (tmp_path / "latin1.mat").write_bytes("2\n0 1\n1 0 \u00e9\n".encode("latin-1"))
+    argv = [a.format(**files) for a in argv]
     base = ["run", "--dist", "uniform", "--reps", "1000",
             "--out-path", str(tmp_path / "o.csv")]
     assert main(base + argv) == 2

@@ -76,7 +76,7 @@ def test_upper_requires_data_and_guard_limit():
 
 
 def test_fit_score_merges_undersized_bins():
-    # more bins than the data can fill at MIN_BIN_COUNT forces the merge path
+    # more bins than the data can fill at MIN_BIN_COUNT are capped to fewer
     sample = gaussian_sum_sample(reps=10_250)
     score = fit_score(sample, BinConfig(bins=400))
     assert np.all(score.bin_counts >= MIN_BIN_COUNT)

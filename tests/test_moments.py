@@ -9,7 +9,7 @@ from steinfisher import moments
 from steinfisher.distributions import catalog_get
 from steinfisher.errors import (InvalidInput, MissingKernelDerivativeBound,
                                 NotIntegrable)
-from steinfisher.moments import (MgfCheckPoint, NegMomentQuery, NonnegativeLaw,
+from steinfisher.moments import (NegMomentQuery, NonnegativeLaw,
                                  mgf_bound_check, negative_moment, ujmld_trend)
 from steinfisher.streams import substream
 
