@@ -31,8 +31,10 @@ the whole run's.  ``STEINFISHER_THREADS`` caps shard-level worker
 threads (shards merge in fixed order either way).
 
 Exit codes: 0 success; 2 a config that cannot run, with field-level JSON on
-stderr (this includes text that does not read as its field's type, a config
-or matrix file that cannot be read, and, found only once the run starts, a
+stderr (this includes a command line argparse cannot read, reported as
+``argv``, a ``STEINFISHER_THREADS`` that is not a positive integer, text that
+does not read as its field's type, a config or matrix file that cannot be
+read, and, found only once the run starts, a
 divergent negative moment, an all-zero matrix and a link whose pre-pass
 variance is zero or not finite), or a config or matrix file that does not
 parse, reported with its line; 3 an estimate the program will not report:
@@ -49,7 +51,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -61,10 +63,7 @@ from .errors import (ConfigError, DegenerateModel, DegenerateVariance,
 from .streams import substream
 
 SCHEMA_VERSION = "stein-fisher v1"
-CSV_COLUMNS = ("experiment", "n", "reps", "seed", "estimator", "estimate",
-               "standard_error", "guarded_fraction", "wall_time_ms")
 RATE_EXPERIMENTS = ("sum_rate", "samplemean_rate", "quadform_rate")
-EXPERIMENTS = RATE_EXPERIMENTS + ("kernel_check", "negmoment", "convert")
 GRID_EXPERIMENTS = RATE_EXPERIMENTS + ("negmoment",)  # those that read n_grid
 
 
@@ -94,6 +93,11 @@ class ResultRow:
     standard_error: float
     guarded_fraction: float
     wall_time_ms: int = 0
+
+
+# Each output column, in order, and the type its text is read back as.
+_COLUMN_TYPES = get_type_hints(ResultRow)
+CSV_COLUMNS = tuple(_COLUMN_TYPES)
 
 
 def _read_lines(path: str, field: str) -> list:
@@ -241,10 +245,10 @@ def parse_matrix(path: str) -> quadform.CoefficientMatrix:
         except ValueError:
             raise ParseError(f"non-numeric entry in row: {lines[i + 1]!r}",
                              line=lineno)
+        if not all(map(math.isfinite, rows[-1])):  # before any symmetry check
+            raise ParseError(f"non-finite entry in row: {lines[i + 1]!r}", line=lineno)
     a = np.array(rows)
     for i in range(n):
-        if not np.isfinite(a[i]).all():
-            raise ParseError(f"non-finite entry in row: {lines[i + 1]!r}", line=i + 2)
         if a[i, i] != 0.0:
             raise ParseError(f"diagonal entry a[{i}][{i}] = {a[i, i]} must be 0",
                              line=i + 2)
@@ -260,14 +264,23 @@ def parse_matrix(path: str) -> quadform.CoefficientMatrix:
     return quadform.CoefficientMatrix(a)
 
 
-def _run_shards(draw, model, seed: int, n: int, reps: int) -> estimate.ScoreSample:
+def _shard_threads() -> int:
+    """Shard workers: ``STEINFISHER_THREADS``, or 1 when unset or empty."""
+    text = os.environ.get("STEINFISHER_THREADS") or "1"
+    if not (text.strip().isdecimal() and int(text) >= 1):
+        raise ConfigError({"STEINFISHER_THREADS":
+                           f"expected a positive integer, got {text!r}"})
+    return int(text)
+
+
+def _run_shards(draw, model, seed: int, n: int, reps: int,
+                threads: int) -> estimate.ScoreSample:
     """Draw shards on independent substreams and merge them in order."""
     def one(job):
         shard, size = job
         return draw(model, substream(seed, "main", n, shard), size)
 
     jobs = list(enumerate(chunk_sizes(reps)))
-    threads = int(os.environ.get("STEINFISHER_THREADS", "1") or "1")
     if threads > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             blocks = list(pool.map(one, jobs))
@@ -335,6 +348,7 @@ def _quadform_point(config, dist, n):
 def _run_rate(config: ExperimentConfig, point):
     """``fisher_upper`` per grid point, then a rate fit when four or more
     of them are positive."""
+    threads = _shard_threads()
     dist = catalog_get(config.dist)
     rows = []
     upper_rows = []
@@ -342,7 +356,7 @@ def _run_rate(config: ExperimentConfig, point):
         t0 = time.monotonic()
         draw, model, extra_rows = point(config, dist, n)
         row = _upper_row(config, n, _run_shards(draw, model, config.seed, n,
-                                                config.reps))
+                                                config.reps, threads))
         upper_rows.append(row)
         ms = _ms_since(t0)
         rows += [replace(r, wall_time_ms=ms) for r in [row] + extra_rows]
@@ -404,6 +418,7 @@ _RUNNERS = {
     "negmoment": _run_negmoment,
     "convert": _run_convert,
 }
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run(config: ExperimentConfig, *, emit_timing=False) -> list:
@@ -452,15 +467,9 @@ def rows_from_csv(text: str) -> list:
     header = lines[0].split(",")
     if tuple(header) != CSV_COLUMNS:
         raise ParseError(f"unexpected CSV header {header!r}", line=2)
-    rows = []
-    for ln in lines[1:]:
-        toks = ln.split(",")
-        rows.append(ResultRow(
-            experiment=toks[0], n=int(toks[1]), reps=int(toks[2]),
-            seed=int(toks[3]), estimator=toks[4], estimate=float(toks[5]),
-            standard_error=float(toks[6]), guarded_fraction=float(toks[7]),
-            wall_time_ms=int(toks[8])))
-    return rows
+    return [ResultRow(*(kind(tok) for kind, tok in
+                        zip(_COLUMN_TYPES.values(), ln.split(","))))
+            for ln in lines[1:]]
 
 
 def rows_to_json(rows) -> str:
@@ -477,8 +486,15 @@ def rows_from_json(text: str) -> list:
     return [ResultRow(**row) for row in payload["rows"]]
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a command line it cannot read as a ConfigError on ``argv``."""
+
+    def error(self, message):
+        raise ConfigError({"argv": message})
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stein-fisher",
         description="Fisher-information-distance experiments at desk scale")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -512,8 +528,8 @@ _EXIT_CODES = (
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         values = parse_config_file(args.config) if args.config else {}
         values.update((f.name, getattr(args, f.name))
                       for f in fields(ExperimentConfig)

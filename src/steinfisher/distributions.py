@@ -232,16 +232,16 @@ def _exponential_centered() -> DistributionSpec:
 
 
 def _student_t(beta: float) -> DistributionSpec:
-    if beta <= 16.0:
+    if not 16.0 < beta < math.inf:
         raise MomentConditionViolated(
-            f"student_t requires beta > 16 for finite 8th kernel moments, got {beta}")
+            f"student_t requires a finite beta > 16 for finite 8th kernel "
+            f"moments, got {beta}")
     # Only student_t laws need scipy, so only they pay for importing it.
     from scipy import special
 
     scale = math.sqrt((beta - 2.0) / beta)
-    log_norm = (special.gammaln((beta + 1.0) / 2.0)
-                - special.gammaln(beta / 2.0)
-                - 0.5 * math.log(beta * math.pi))
+    # 1 / (B(beta/2, 1/2) sqrt(beta)); a gammaln difference cancels at large beta
+    log_norm = -float(special.betaln(beta / 2.0, 0.5)) - 0.5 * math.log(beta)
 
     def density(x):
         t = np.asarray(x, dtype=float) / scale
@@ -258,8 +258,9 @@ def _student_t(beta: float) -> DistributionSpec:
 
     edge = scale * math.sqrt(beta * math.expm1(
         2.0 * (log_norm - math.log(DENSITY_FLOOR * scale)) / (beta + 1.0)))
-    moment8 = (105.0 * (beta - 2.0) ** 3
-               / ((beta - 4.0) * (beta - 6.0) * (beta - 8.0)))
+    # three ratios, since (beta - 2)^3 overflows for beta past about 5e102
+    moment8 = (105.0 * ((beta - 2.0) / (beta - 4.0)) * ((beta - 2.0) / (beta - 6.0))
+               * ((beta - 2.0) / (beta - 8.0)))
     return DistributionSpec(
         name=f"student_t({beta:g})",
         density=density,
@@ -284,7 +285,7 @@ def catalog_get(name: str) -> DistributionSpec:
     """Look up a standardized law by its stable catalog name.
 
     Known names: ``gaussian``, ``uniform``, ``exponential_centered`` and
-    ``student_t(beta)`` with ``beta > 16``.
+    ``student_t(beta)`` with a finite ``beta > 16``.
     """
     key = name.strip()
     if key in _CACHE:

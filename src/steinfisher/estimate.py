@@ -179,13 +179,11 @@ def plugin_split(sample, bin_config: BinConfig = BinConfig()):
 
 @dataclass(frozen=True)
 class DensityEstimate:
-    """Indicator-weighted density estimate with a histogram comparator."""
+    """Indicator-weighted density estimate and its standard errors on a grid."""
 
     x_grid: np.ndarray
     values: np.ndarray
     std_errors: np.ndarray
-    hist_values: np.ndarray
-    hist_std_errors: np.ndarray
 
 
 def density_representation(sample, x_grid) -> DensityEstimate:
@@ -212,27 +210,13 @@ def density_representation(sample, x_grid) -> DensityEstimate:
     s1, s2 = sum_above(h), sum_above(h * h)
     values = s1 / m
     ses = np.sqrt(np.maximum((s2 - s1 * values) / (m - 1), 0.0)) / math.sqrt(m)
-
-    # Histogram comparator on cells centered at the grid points.
-    mids = 0.5 * (grid[1:] + grid[:-1])
-    edges = np.concatenate((
-        [grid[0] - (mids[0] - grid[0])], mids,
-        [grid[-1] + (grid[-1] - mids[-1])],
-    ))
-    counts, _ = np.histogram(f, bins=edges)
-    widths = np.diff(edges)
-    hist = counts / (m * widths)
-    hist_se = np.sqrt(np.maximum(counts, 1.0)) / (m * widths)
-    return DensityEstimate(x_grid=grid, values=values, std_errors=ses,
-                           hist_values=hist, hist_std_errors=hist_se)
+    return DensityEstimate(x_grid=grid, values=values, std_errors=ses)
 
 
 @dataclass(frozen=True)
 class RateFit:
     """Ordinary least squares of ``log error`` on ``log n``."""
 
-    n_values: tuple
-    error_values: tuple
     slope: float
     intercept: float
     r_squared: float
@@ -254,10 +238,4 @@ def fit_rate(n_values, error_values) -> RateFit:
     ss_res = float(((ly - pred) ** 2).sum())
     ss_tot = float(((ly - ly.mean()) ** 2).sum())
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return RateFit(
-        n_values=tuple(float(v) for v in n_values),
-        error_values=tuple(float(v) for v in error_values),
-        slope=float(slope),
-        intercept=float(intercept),
-        r_squared=r2,
-    )
+    return RateFit(slope=float(slope), intercept=float(intercept), r_squared=r2)

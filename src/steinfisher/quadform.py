@@ -47,17 +47,11 @@ class CoefficientMatrix:
 def banded_coefficients(n: int, bandwidth: int = 1) -> CoefficientMatrix:
     """First ``bandwidth`` superdiagonals filled with a constant chosen so
     the form has unit variance; the default family for rate experiments."""
-    if n < 2:
-        raise InvalidInput("banded family needs n >= 2")
-    a = np.zeros((n, n))
-    count = 0
-    for d in range(1, min(bandwidth, n - 1) + 1):
-        count += n - d
-    value = 1.0 / math.sqrt(count)
-    for d in range(1, min(bandwidth, n - 1) + 1):
-        idx = np.arange(n - d)
-        a[idx, idx + d] = value
-    return CoefficientMatrix(a)
+    if n < 2 or bandwidth < 1:
+        raise InvalidInput("banded family needs n >= 2 and bandwidth >= 1")
+    offset = np.arange(n)[None, :] - np.arange(n)[:, None]
+    band = (offset >= 1) & (offset <= bandwidth)
+    return CoefficientMatrix(band / math.sqrt(band.sum()))
 
 
 @dataclass(frozen=True)

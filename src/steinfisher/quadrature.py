@@ -60,7 +60,7 @@ def _panels(f, lefts, rights):
     ys = np.asarray(f(xs), dtype=float).reshape(len(lefts), _XK.size)
     if not np.all(np.isfinite(ys)):
         bad = xs.reshape(len(lefts), _XK.size)[~np.isfinite(ys)]
-        raise QuadratureFailure(f"integrand not finite near x={bad.flat[0]!r}")
+        raise QuadratureFailure(f"integrand not finite near x={float(bad.flat[0])!r}")
     k = half * (ys @ _WK)
     g = half * (ys[:, 1::2] @ _WG)
     diff = np.abs(k - g)
@@ -131,10 +131,12 @@ def integrate_half_line(f, *, tol=DEFAULT_TOL):
 
     def mapped(ts):
         ts = np.asarray(ts, dtype=float)
-        om = np.maximum(1.0 - ts, 1e-300)
-        xs = ts / om ** 3
-        vals = np.asarray(f(xs), dtype=float)
-        return vals * (1.0 + 2.0 * ts) / om ** 4
+        vals = np.full_like(ts, np.nan)  # t = 1 is x = inf; _panels refuses it
+        inner = ts < 1.0
+        t, om = ts[inner], 1.0 - ts[inner]
+        f_x = np.asarray(f(t / om ** 3), dtype=float)
+        vals[inner] = f_x * (1.0 + 2.0 * t) / om ** 4
+        return vals
 
     return integrate(mapped, 0.0, 1.0, tol=tol, limit=4096, init=8)
 

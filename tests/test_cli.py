@@ -2,11 +2,13 @@ import json
 import math
 import os
 import time
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from steinfisher import samplemean
 from steinfisher.cli import (EXPERIMENTS, ExperimentConfig, main,
                              parse_config_file,
                              parse_matrix, rows_from_csv, rows_from_json,
@@ -31,6 +33,22 @@ def test_parse_matrix_examples(tmp_path):
     assert err.value.line == 2
     with pytest.raises(ParseError):
         parse_matrix(write(tmp_path, "short.mat", "3\n0 1 0\n1 0 0\n"))
+
+
+@pytest.mark.parametrize("text,line,message", [
+    ("", 1, "empty matrix file"),
+    ("two\n0 1\n1 0\n", 1, "first line must be the dimension"),
+    ("0\n", 1, "dimension must be positive"),
+    ("2\n0 1\n1\n", 3, "row has 1 entries, expected 2"),
+    ("2\n0 one\n1 0\n", 2, "non-numeric entry"),
+    # a non-finite entry below the diagonal is reported as one, on its own
+    # line, before any symmetry check reads it
+    ("3\n0 1 2\n1 0 1\nnan 1 0\n", 4, "non-finite entry"),
+])
+def test_matrix_parse_errors_name_their_line(tmp_path, text, line, message):
+    with pytest.raises(ParseError) as err:
+        parse_matrix(write(tmp_path, "m.mat", text))
+    assert err.value.line == line and message in str(err.value)
 
 
 def test_config_file_parsing(tmp_path):
@@ -215,6 +233,9 @@ def test_csv_json_round_trip(tmp_path):
     rows = run(cfg)
     assert rows_from_csv(rows_to_csv(rows)) == rows
     assert rows_from_json(rows_to_json(rows)) == rows
+    with pytest.raises(ParseError) as err:
+        rows_from_csv(rows_to_csv(rows).replace(",estimator,", ",name,"))
+    assert err.value.line == 2
 
 
 def test_byte_identical_output(tmp_path):
@@ -255,6 +276,10 @@ def test_main_exit_codes(tmp_path):
     assert main(["run", "--config", cfg_path]) == 0
     assert main(["run", "--config", cfg_path, "--reps", "10"]) == 2
     assert main(["run", "--config", cfg_path, "--dist", "cauchy"]) == 2
+    assert main([]) == 2  # no subcommand
+    with pytest.raises(SystemExit) as help_exit:
+        main(["run", "--help"])
+    assert help_exit.value.code == 0
 
 
 def test_config_file_parse_error_exits_2_with_line(tmp_path, capsys):
@@ -306,6 +331,20 @@ def test_cli_flag_overrides(tmp_path):
       "--matrix-path", "{tmp}"], "matrix_path"),
     (["--experiment", "quadform_rate", "--n-grid", "2",
       "--matrix-path", "{latin1_matrix}"], "matrix_path"),
+    # a command line argparse cannot read
+    (["--bogus", "1"], "argv"),
+    (["--experiment", "convert", "--reps"], "argv"),
+    # values validate refuses before anything is computed
+    (["--experiment", "sum_rate", "--n-grid", ""], "n_grid"),
+    (["--experiment", "sum_rate", "--n-grid", "0,8"], "n_grid"),
+    (["--experiment", "convert", "--fisher-value", "1", "--reps", "0"], "reps"),
+    (["--experiment", "convert", "--fisher-value", "1", "--seed",
+      str(2 ** 64)], "seed"),
+    (["--experiment", "convert", "--fisher-value", "1", "--out-path", "{tmp}"],
+     "out_path"),
+    (["--experiment", "quadform_rate", "--n-grid", "2",
+      "--matrix-path", "{tmp}/missing.mat"], "matrix_path"),
+    (["--experiment", "kernel_check", "--dist", "student_t(1e309)"], "dist"),
 ])
 def test_runtime_errors_exit_2_with_field(tmp_path, capsys, argv, field):
     files = dict(
@@ -323,6 +362,57 @@ def test_runtime_errors_exit_2_with_field(tmp_path, capsys, argv, field):
     assert "Traceback" not in err
     payload = json.loads(err.strip().splitlines()[-1])
     assert payload["error"] == "config" and field in payload["detail"]
+
+
+@pytest.mark.parametrize("threads", ["abc", "0", "-3", " "])
+def test_bad_thread_count_exits_2_before_drawing(tmp_path, capsys,
+                                                 monkeypatch, threads):
+    def no_model(*args, **kwargs):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setenv("STEINFISHER_THREADS", threads)
+    monkeypatch.setattr(samplemean, "sample_mean_model", no_model)
+    out = tmp_path / "o.csv"
+    assert main(["run", "--experiment", "sum_rate", "--n-grid", "8",
+                 "--reps", "1000", "--out-path", str(out)]) == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "config"
+    assert "STEINFISHER_THREADS" in payload["detail"]
+    assert not out.exists()
+
+
+def test_empty_thread_count_runs_serial(tmp_path, monkeypatch):
+    monkeypatch.setenv("STEINFISHER_THREADS", "")
+    assert main(["run", "--experiment", "sum_rate", "--n-grid", "8",
+                 "--reps", "1000", "--out-path", str(tmp_path / "o.csv")]) == 0
+
+
+def test_unresolved_half_line_quadrature_exits_3(tmp_path, capsys):
+    # E[S^-1.4] for a sum of 3 squared gaussians is 4.068, but the integrand
+    # decays like x^-1.1, slower than the half-line map keeps bounded, so
+    # the quadrature meets a non-finite value at t = 1 and refuses it.
+    out = tmp_path / "o.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--experiment", "negmoment", "--dist", "gaussian",
+                     "--n-grid", "3", "--alpha", "1.4",
+                     "--out-path", str(out)]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "quadrature"
+    assert payload["detail"]["message"] == "integrand not finite near x=1.0"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dist", ["student_t(1e17)", "student_t(1e100)"])
+def test_kernel_check_far_student_t(tmp_path, dist):
+    # the normalizer once lost every digit at 1e17 (E tau - 1 = -0.99999999553)
+    # and failed to build at 1e100
+    cfg = ExperimentConfig(experiment="kernel_check", dist=dist,
+                           out_path=str(tmp_path / "k.csv"))
+    by_name = {r.estimator: r.estimate for r in run(cfg)}
+    assert abs(by_name["tau_max_abs_diff"]) <= 1e-8
+    assert abs(by_name["e_tau_minus_1"]) <= 1e-8
 
 
 # An infinite coefficient, an H'(0) = a + b that overflows and a subnormal

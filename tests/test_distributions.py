@@ -34,6 +34,8 @@ def test_catalog_rejects_unknown_and_low_dof():
         catalog_get("student_t(16)")
     with pytest.raises(MomentConditionViolated):
         catalog_get("student_t(10)")
+    with pytest.raises(MomentConditionViolated):  # beta = inf
+        catalog_get("student_t(1e309)")
 
 
 def test_density_normalization_and_moments(catalog_dist):
@@ -145,18 +147,31 @@ def test_student_t_cdf_matches_scipy_stats():
                           stats.t.cdf(grid / scale, 20.0))
 
 
-def test_student_t_density_matches_scipy_gammaln_to_the_bit():
+def test_student_t_density_matches_scipy_betaln_to_the_bit():
     # scipy is imported inside _student_t; the CDF is checked against
-    # scipy.stats above, and the normalizer is gammaln's, not math.lgamma's.
+    # scipy.stats above, and the normalizer is betaln's, which at beta = 20
+    # is the gammaln difference's up to rounding.
     from scipy import special
     beta = 20.0
     scale = math.sqrt((beta - 2.0) / beta)
-    log_norm = (special.gammaln((beta + 1.0) / 2.0) - special.gammaln(beta / 2.0)
-                - 0.5 * math.log(beta * math.pi))
+    log_norm = -special.betaln(beta / 2.0, 0.5) - 0.5 * math.log(beta)
+    by_gammaln = (special.gammaln((beta + 1.0) / 2.0) - special.gammaln(beta / 2.0)
+                  - 0.5 * math.log(beta * math.pi))
+    assert log_norm == pytest.approx(by_gammaln, rel=1e-15)
     x = np.linspace(-8.0, 8.0, 801)
     t = x / scale
     expected = np.exp(log_norm - 0.5 * (beta + 1.0) * np.log1p(t * t / beta)) / scale
     assert np.array_equal(catalog_get("student_t(20)").density(x), expected)
+
+
+def test_student_t_far_beta_is_the_gaussian_law():
+    # A gammaln difference lost every digit of the normalizer by beta = 1e17
+    # and failed to build at 1e100; (beta - 2)^3 overflows past about 5e102.
+    d, g = catalog_get("student_t(1e100)"), catalog_get("gaussian")
+    assert d.quad_window == pytest.approx(g.quad_window, abs=1e-6)
+    assert integrate(d.density, *d.quad_window, tol=1e-13) == pytest.approx(
+        1.0, abs=1e-12)
+    assert d.moment8 == pytest.approx(105.0, rel=1e-15)
 
 
 def test_ndtr_matches_scipy_special():

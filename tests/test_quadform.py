@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from steinfisher.distributions import catalog_get, sample_columns
 from steinfisher.errors import (ContractViolation, DegenerateModel,
-                                NotIntegrable)
+                                InvalidInput, NotIntegrable)
 from steinfisher.estimate import (ScoreSample, fisher_distance_upper,
                                   plugin_split)
 from steinfisher.quadform import (CoefficientMatrix, QuadFormModel,
@@ -225,6 +225,23 @@ def test_functionals_and_draws_of_a_scaled_matrix(scale):
     raw = matrix_functionals(CoefficientMatrix(scale * base.matrix.entries))
     assert raw.lambda_max == pytest.approx(scale ** 2 * mf.lambda_max, rel=1e-12)
     assert raw.structural_factor == pytest.approx(mf.structural_factor, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 128])
+def test_banded_family_matches_diagonal_fill(n):
+    # reference: fill each superdiagonal in turn with 1 / sqrt(entries)
+    for bandwidth in sorted({1, 2, n - 1, n + 3}):
+        diagonals = range(1, min(bandwidth, n - 1) + 1)
+        value = 1.0 / math.sqrt(sum(n - d for d in diagonals))
+        want = np.zeros((n, n))
+        for d in diagonals:
+            want[np.arange(n - d), np.arange(d, n)] = value
+        got = banded_coefficients(n, bandwidth)
+        assert np.array_equal(got.entries, want + want.T)
+        assert got.sigma2 == pytest.approx(1.0, rel=1e-14)
+    for bad in ((1, 1), (n, 0)):
+        with pytest.raises(InvalidInput):
+            banded_coefficients(*bad)
 
 
 def test_zero_matrix_rejected():
