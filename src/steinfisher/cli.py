@@ -289,38 +289,25 @@ def _run_shards(draw, model, seed: int, n: int, reps: int,
     return estimate.ScoreSample.concat(blocks)
 
 
-def _upper_row(config, n, sample) -> ResultRow:
-    est, se, gf = estimate.fisher_distance_upper(sample)
-    return ResultRow(experiment=config.experiment, n=n, reps=config.reps,
-                     seed=config.seed, estimator="fisher_upper",
-                     estimate=est, standard_error=se, guarded_fraction=gf)
-
-
 def _ms_since(t0: float) -> int:
     return int(round((time.monotonic() - t0) * 1000.0))
 
 
-def _exact_rows(config, n, reps, wall_time_ms, values) -> list:
-    """Rows for ``(estimator, estimate)`` pairs that are computed, not
-    sampled: no standard error and no guarded draws."""
+def _rows(config, n, reps, wall_time_ms, values, standard_error=0.0,
+          guarded_fraction=0.0) -> list:
+    """One row per ``(estimator, estimate)`` pair in ``values``; the
+    defaults fit estimates that are computed, not sampled."""
     return [ResultRow(experiment=config.experiment, n=n, reps=reps,
                       seed=config.seed, estimator=name, estimate=value,
-                      standard_error=0.0, guarded_fraction=0.0,
+                      standard_error=standard_error,
+                      guarded_fraction=guarded_fraction,
                       wall_time_ms=wall_time_ms) for name, value in values]
 
 
-def _rate_rows(config, upper_rows):
-    fit = estimate.fit_rate([r.n for r in upper_rows],
-                            [r.estimate for r in upper_rows])
-    return _exact_rows(config, 0, config.reps, 0, [
-        ("rate_fit_slope", fit.slope), ("rate_fit_intercept", fit.intercept),
-        ("rate_fit_r2", fit.r_squared)])
-
-
 # Rate-experiment points: ``point(config, dist, n)`` returns the draw
-# function, the model it draws from, and any rows reported next to the
-# ``fisher_upper`` row at ``n``.  Draw functions are looked up on their
-# modules at call time.
+# function, the model it draws from, and any ``(estimator, estimate)``
+# pairs reported next to the ``fisher_upper`` row at ``n``.  Draw
+# functions are looked up on their modules at call time.
 
 def _samplemean_point(config, dist, n):
     model = samplemean.sample_mean_model(
@@ -341,8 +328,7 @@ def _quadform_point(config, dist, n):
                 f"with matrix_path the grid must equal ({matrix.n},)")})
     model = quadform.QuadFormModel(matrix, [dist] * n)
     factor = quadform.matrix_functionals(matrix).structural_factor
-    return (quadform.draw_score_pairs, model,
-            _exact_rows(config, n, config.reps, 0, [("structural_factor", factor)]))
+    return quadform.draw_score_pairs, model, [("structural_factor", factor)]
 
 
 def _run_rate(config: ExperimentConfig, point):
@@ -350,20 +336,23 @@ def _run_rate(config: ExperimentConfig, point):
     of them are positive."""
     threads = _shard_threads()
     dist = catalog_get(config.dist)
-    rows = []
-    upper_rows = []
+    rows, uppers = [], []
     for n in config.n_grid:
         t0 = time.monotonic()
-        draw, model, extra_rows = point(config, dist, n)
-        row = _upper_row(config, n, _run_shards(draw, model, config.seed, n,
-                                                config.reps, threads))
-        upper_rows.append(row)
+        draw, model, extra = point(config, dist, n)
+        est, se, gf = estimate.fisher_distance_upper(
+            _run_shards(draw, model, config.seed, n, config.reps, threads))
+        uppers.append((n, est))
         ms = _ms_since(t0)
-        rows += [replace(r, wall_time_ms=ms) for r in [row] + extra_rows]
+        rows += _rows(config, n, config.reps, ms, [("fisher_upper", est)], se, gf)
+        rows += _rows(config, n, config.reps, ms, extra)
     # log-log fit: a zero estimate (an exactly Gaussian statistic) has no rate
-    positive = [row for row in upper_rows if row.estimate > 0.0]
+    positive = [(n, est) for n, est in uppers if est > 0.0]
     if len(positive) >= 4:
-        rows += _rate_rows(config, positive)
+        fit = estimate.fit_rate(*zip(*positive))
+        rows += _rows(config, 0, config.reps, 0, [
+            ("rate_fit_slope", fit.slope), ("rate_fit_intercept", fit.intercept),
+            ("rate_fit_r2", fit.r_squared)])
     return rows
 
 
@@ -381,7 +370,7 @@ def _run_kernel_check(config: ExperimentConfig):
              for x in grid]
     wlo, whi = dist.quad_window
     etau = integrate(lambda y: dist.tau(y) * dist.density(y), wlo, whi, tol=1e-12)
-    return _exact_rows(config, grid.size, 1, _ms_since(t0), [
+    return _rows(config, grid.size, 1, _ms_since(t0), [
         ("tau_max_abs_diff", float(max(diffs))),
         ("e_tau_minus_1", float(etau - 1.0))])
 
@@ -395,7 +384,7 @@ def _run_negmoment(config: ExperimentConfig):
         query = moments.NegMomentQuery(alpha=config.alpha,
                                        mgf_factors=(law.mgf,) * n)
         value = moments.negative_moment(query)
-        rows += _exact_rows(config, n, 1, _ms_since(t0), [
+        rows += _rows(config, n, 1, _ms_since(t0), [
             ("negative_moment", value),
             ("normalized_trend", value * float(n) ** config.alpha)])
     return rows
@@ -404,7 +393,7 @@ def _run_negmoment(config: ExperimentConfig):
 def _run_convert(config: ExperimentConfig):
     t0 = time.monotonic()
     report = distances.convert(config.fisher_value)
-    return _exact_rows(config, 0, 1, _ms_since(t0), [
+    return _rows(config, 0, 1, _ms_since(t0), [
         (name, getattr(report, name)) for name in
         ("fisher", "uniform_density", "kl", "wasserstein2", "total_variation")])
 

@@ -1,9 +1,9 @@
 """Catalog of standardized input laws with their Stein kernels.
 
 Every catalog entry has mean 0 and variance 1, a differentiable density on a
-connected support, a closed-form Stein kernel ``tau`` with derivative, an
-inverse-CDF or composition sampler driven by an explicit stream, and the
-8th absolute moment.  Entries are immutable and safe to share.
+connected support, a closed-form Stein kernel ``tau`` with derivative, and
+an inverse-CDF or composition sampler driven by an explicit stream.
+Entries are immutable and safe to share.
 """
 
 from __future__ import annotations
@@ -140,7 +140,6 @@ class DistributionSpec:
     log_density_derivative: Callable
     sampler: Callable
     kernel_form: SteinKernelForm
-    moment8: float
     cdf: Callable
     quad_window: tuple
 
@@ -170,7 +169,6 @@ def _gaussian() -> DistributionSpec:
             tau_prime=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
             tau_prime_bound=0.0,
         ),
-        moment8=105.0,
         cdf=ndtr,
         quad_window=(-edge, edge),
     )
@@ -197,7 +195,6 @@ def _uniform() -> DistributionSpec:
             tau_prime=lambda x: -np.asarray(x, dtype=float),
             tau_prime_bound=_SQRT3,
         ),
-        moment8=9.0,
         cdf=lambda x: np.clip((np.asarray(x, dtype=float) - lo) / (hi - lo), 0.0, 1.0),
         quad_window=(lo, hi),
     )
@@ -225,7 +222,6 @@ def _exponential_centered() -> DistributionSpec:
             tau_prime=lambda y: np.ones_like(np.asarray(y, dtype=float)),
             tau_prime_bound=1.0,
         ),
-        moment8=14833.0,  # E[(Exp(1) - 1)^8], the 8th derangement number
         cdf=cdf,
         quad_window=(-1.0, -1.0 - math.log(DENSITY_FLOOR)),
     )
@@ -258,9 +254,6 @@ def _student_t(beta: float) -> DistributionSpec:
 
     edge = scale * math.sqrt(beta * math.expm1(
         2.0 * (log_norm - math.log(DENSITY_FLOOR * scale)) / (beta + 1.0)))
-    # three ratios, since (beta - 2)^3 overflows for beta past about 5e102
-    moment8 = (105.0 * ((beta - 2.0) / (beta - 4.0)) * ((beta - 2.0) / (beta - 6.0))
-               * ((beta - 2.0) / (beta - 8.0)))
     return DistributionSpec(
         name=f"student_t({beta:g})",
         density=density,
@@ -271,7 +264,6 @@ def _student_t(beta: float) -> DistributionSpec:
             tau_prime=lambda x: 2.0 * np.asarray(x, dtype=float) / (beta - 1.0),
             tau_prime_bound=None,
         ),
-        moment8=moment8,
         cdf=lambda x: special.stdtr(beta, np.asarray(x, dtype=float) / scale),
         quad_window=(-edge, edge),
     )

@@ -181,7 +181,6 @@ def plugin_split(sample, bin_config: BinConfig = BinConfig()):
 class DensityEstimate:
     """Indicator-weighted density estimate and its standard errors on a grid."""
 
-    x_grid: np.ndarray
     values: np.ndarray
     std_errors: np.ndarray
 
@@ -210,7 +209,7 @@ def density_representation(sample, x_grid) -> DensityEstimate:
     s1, s2 = sum_above(h), sum_above(h * h)
     values = s1 / m
     ses = np.sqrt(np.maximum((s2 - s1 * values) / (m - 1), 0.0)) / math.sqrt(m)
-    return DensityEstimate(x_grid=grid, values=values, std_errors=ses)
+    return DensityEstimate(values=values, std_errors=ses)
 
 
 @dataclass(frozen=True)
@@ -229,8 +228,9 @@ def fit_rate(n_values, error_values) -> RateFit:
         raise InvalidInput("n_values and error_values must align")
     if n_values.size < 4:
         raise InvalidInput("rate fits need at least 4 grid points")
-    if np.any(error_values <= 0.0) or np.any(n_values <= 0.0):
-        raise InvalidInput("rate fits require positive n and error values")
+    if not (np.all((0.0 < n_values) & (n_values < np.inf))
+            and np.all((0.0 < error_values) & (error_values < np.inf))):
+        raise InvalidInput("rate fits require finite positive n and error values")
     lx = np.log(n_values)
     ly = np.log(error_values)
     slope, intercept = np.polyfit(lx, ly, 1)

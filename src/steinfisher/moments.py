@@ -40,8 +40,9 @@ class NegMomentQuery:
     quadrature_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise InvalidInput("alpha must be positive")
+        if not 0.0 < self.alpha < math.inf:
+            raise InvalidInput(
+                f"alpha must be finite and positive, got {self.alpha!r}")
         if not self.mgf_factors:
             raise InvalidInput("need at least one MGF factor")
         for fac in self.mgf_factors:
@@ -71,23 +72,26 @@ def negative_moment(query: NegMomentQuery) -> float:
     Probes the factor product's decay at two large abscissae first; a local
     decay exponent at or below ``alpha`` (up to a relative margin of
     ``_PROBE_MARGIN``) means the integral diverges or sits on the boundary.
-    Otherwise the value is :func:`mgf_integral`'s.
+    Otherwise the value is :func:`mgf_integral`'s at the measured decay,
+    or at an infinite one when the product has fallen to 0 by the probe.
     """
     lo, hi = _PROBE_POINTS
     log_lo, log_hi = _log_product(query.mgf_factors, np.array(_PROBE_POINTS))
+    decay = math.inf
     if math.isfinite(log_lo) and math.isfinite(log_hi):
         decay = -(log_hi - log_lo) / (math.log(hi) - math.log(lo))
         if decay <= query.alpha * (1.0 + _PROBE_MARGIN):
             raise NotIntegrable(
                 f"factor product decays like x^-{decay:.3f}, need faster "
                 f"than x^-{query.alpha:g}")
-    return mgf_integral(query)
+    return mgf_integral(query, decay)
 
 
-def mgf_integral(query: NegMomentQuery) -> float:
+def mgf_integral(query: NegMomentQuery, decay: float = math.inf) -> float:
     """The negative moment ``Gamma(alpha)^-1 int_0^inf x^(alpha - 1)
     prod_k factor_k(x) dx`` without the decay probe, for callers that know
-    the integral converges."""
+    the integral converges and that the factor product decays like
+    ``x^-decay``, ``decay > alpha``."""
     alpha = query.alpha
     # Over u = x^p the x^(alpha - 1) singularity at 0 (scaled below the
     # absolute tolerance by 1/Gamma(alpha)) is gone; p = 1 for alpha >= 1.
@@ -105,7 +109,11 @@ def mgf_integral(query: NegMomentQuery) -> float:
         out[pos] = np.exp((alpha - p) / p * np.log(up) + log_prod - log_const)
         return out
 
-    return integrate_half_line(integrand, tol=query.quadrature_tol)
+    # Over u the integrand decays like u^-(1 + (decay - alpha) / p), which
+    # the half-line map of power k keeps bounded once k >= p / (decay - alpha).
+    ratio = p / (decay - alpha)
+    power = 3 if ratio <= 3.0 else math.ceil(ratio) + 1
+    return integrate_half_line(integrand, tol=query.quadrature_tol, power=power)
 
 
 def _square_peak_breaks(v):

@@ -60,8 +60,6 @@ class MatrixFunctionals:
 
     sum_row4: float
     trace4: float
-    lambda_min: float
-    lambda_max: float
     structural_factor: float
 
 
@@ -92,13 +90,10 @@ def matrix_functionals(matrix: CoefficientMatrix) -> MatrixFunctionals:
     sum_row4 = float((row2 ** 2).sum())
     gram = a.T @ a
     trace4 = float((gram ** 2).sum())
-    eigs = np.linalg.eigvalsh(gram)
     with np.errstate(over="ignore", under="ignore"):
         return MatrixFunctionals(
             sum_row4=float(np.ldexp(sum_row4, 4 * e)),
             trace4=float(np.ldexp(trace4, 4 * e)),
-            lambda_min=float(np.ldexp(eigs[0], 2 * e)),
-            lambda_max=float(np.ldexp(eigs[-1], 2 * e)),
             structural_factor=(sum_row4 + trace4) / unit.sigma2 ** 2,
         )
 
@@ -166,6 +161,11 @@ def draw_score_pairs(model: QuadFormModel, stream, reps: int) -> ScoreSample:
     return ScoreSample.concat(blocks)
 
 
+def _check_order(order: float) -> None:
+    if not 0.0 < order < math.inf:
+        raise InvalidInput(f"order must be finite and positive, got {order!r}")
+
+
 def gaussian_negative_moment_norm(matrix: CoefficientMatrix,
                                   order: float) -> float:
     """Exact ``|| sigma^2 Theta^-1 ||_order`` for all-Gaussian inputs.
@@ -181,8 +181,7 @@ def gaussian_negative_moment_norm(matrix: CoefficientMatrix,
     free, so it is computed on the unit-scaled A, whose eigenvalues neither
     overflow nor underflow.
     """
-    if order <= 0:
-        raise InvalidInput("order must be positive")
+    _check_order(order)
     matrix = _unit_scaled(matrix)[0]
     gram = matrix.entries.T @ matrix.entries
     lam = np.clip(np.linalg.eigvalsh(gram), 0.0, None)
@@ -208,6 +207,7 @@ def gaussian_negative_moment_norm_mc(matrix: CoefficientMatrix, order: float,
     ``(sigma^2 / Theta)^order`` does not (its tail index is n / (2 order)).
     Like the exact norm, it is computed on the unit-scaled A.
     """
+    _check_order(order)
     n = matrix.n
     if n / 2.0 <= order:
         raise NotIntegrable(f"n={n} Gaussian draws cannot support order {order}")

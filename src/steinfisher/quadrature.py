@@ -119,24 +119,32 @@ def integrate(f, a, b, *, tol=DEFAULT_TOL, limit=1024, init=4):
     return total
 
 
-def integrate_half_line(f, *, tol=DEFAULT_TOL):
-    """Integrate ``f`` over ``(0, inf)`` via ``x = t / (1 - t)^3``.
+def integrate_half_line(f, *, tol=DEFAULT_TOL, power=3):
+    """Integrate ``f`` over ``(0, inf)`` via ``x = t / (1 - t)^power``.
 
-    The cubic power keeps the mapped integrand bounded at ``t = 1`` for
-    every integrand decaying like ``x^-s`` with ``s >= 4/3``; the plain
+    The mapped integrand stays bounded at ``t = 1`` for every integrand
+    decaying like ``x^-s`` with ``s >= 1 + 1/power``; the plain
     ``t / (1 - t)`` map leaves an integrable endpoint singularity for
-    slowly decaying tails, which quietly costs several digits.  Callers
-    are expected to have probed integrability beforehand.
+    slowly decaying tails, which quietly costs several digits.  Near
+    ``t = 1`` a large power takes ``x`` or the Jacobian past the float
+    range; those abscissae carry nan, without a warning, and are refused
+    like any non-finite value.  Callers are expected to have probed
+    integrability beforehand.
     """
 
     def mapped(ts):
         ts = np.asarray(ts, dtype=float)
-        vals = np.full_like(ts, np.nan)  # t = 1 is x = inf; _panels refuses it
-        inner = ts < 1.0
-        t, om = ts[inner], 1.0 - ts[inner]
-        f_x = np.asarray(f(t / om ** 3), dtype=float)
-        vals[inner] = f_x * (1.0 + 2.0 * t) / om ** 4
+        om = 1.0 - ts
+        with np.errstate(over="ignore", under="ignore", divide="ignore"):
+            xs = ts / om ** power
+            den = om ** (power + 1)
+        # t = 1 (x = inf) and abscissae past the float range stay nan, which
+        # _panels refuses
+        vals = np.full_like(ts, np.nan)
+        ok = np.isfinite(xs) & (den > 0.0)
+        f_x = np.asarray(f(xs[ok]), dtype=float)
+        with np.errstate(over="ignore"):
+            vals[ok] = f_x * (1.0 + (power - 1) * ts[ok]) / den[ok]
         return vals
 
     return integrate(mapped, 0.0, 1.0, tol=tol, limit=4096, init=8)
-

@@ -164,6 +164,17 @@ def test_negative_moment_chi_square_closed_form_below_one(n, alpha):
     assert value == pytest.approx(exact, rel=1e-9)
 
 
+@pytest.mark.parametrize("n, alpha", [(3, 1.3), (3, 1.4), (3, 1.45), (4, 1.9)])
+def test_negative_moment_chi_square_closed_form_near_the_boundary(n, alpha):
+    # The integrand decays like x^-(1 + n/2 - alpha), which the cubic
+    # half-line map leaves unbounded at t = 1 once n/2 - alpha < 1/3; the
+    # map's power follows the decay the probe measures.
+    value = negative_moment(NegMomentQuery(alpha=alpha,
+                                           mgf_factors=(GAUSS_SQ.mgf,) * n))
+    exact = math.gamma(n / 2 - alpha) / (2.0 ** alpha * math.gamma(n / 2))
+    assert value == pytest.approx(exact, rel=1e-13)
+
+
 def test_trend_gaussian_squares_matches_chi_square():
     points = ujmld_trend(GAUSS_SQ, 1.0, [4, 8, 16, 32, 64])
     for p in points:
