@@ -297,18 +297,31 @@ def catalog_get(name: str) -> DistributionSpec:
     return spec
 
 
+def _runs(dists):
+    """``(start, stop)`` of each run of consecutive identical specs."""
+    start = 0
+    for stop in range(1, len(dists) + 1):
+        if stop == len(dists) or dists[stop] is not dists[start]:
+            yield start, stop
+            start = stop
+
+
 def sample_columns(dists, stream, m: int) -> np.ndarray:
     """Draw an ``(m, n)`` matrix whose column ``k`` follows ``dists[k]``.
 
-    Columns are drawn sequentially from the single supplied stream, so the
-    result is reproducible for a fixed ``(dists, stream state)``.  The block
-    is coordinate-major: it is the transpose of a C-order ``(n, m)`` buffer,
-    so each column's ``m`` draws are contiguous.
+    Each run of consecutive identical specs is drawn by one
+    ``sampler(stream, (rows, m))`` call, in column order from the single
+    supplied stream, so the result is reproducible for a fixed
+    ``(dists, stream state)``.  The uniform, exponential and gaussian
+    samplers take one stream value per draw in C order, so for them this
+    is the column-by-column draw; ``student_t`` draws all of a run's
+    normals before its chi-squares.  The block is coordinate-major: it is
+    the transpose of a C-order ``(n, m)`` buffer, so each column's ``m``
+    draws are contiguous.
     """
-    n = len(dists)
-    out = np.empty((n, m), dtype=float)
-    for k, dist in enumerate(dists):
-        out[k] = dist.sampler(stream, m)
+    out = np.empty((len(dists), m), dtype=float)
+    for start, stop in _runs(dists):
+        out[start:stop] = dists[start].sampler(stream, (stop - start, m))
     return out.T
 
 
@@ -322,14 +335,10 @@ def kernel_columns(dists, x: np.ndarray):
     """
     tau = np.empty_like(x)
     taup = np.empty_like(x)
-    start = 0
-    for stop in range(1, len(dists) + 1):
-        if stop < len(dists) and dists[stop] is dists[start]:
-            continue
+    for start, stop in _runs(dists):
         dist, rows = dists[start], x[start:stop]
         tau[start:stop] = dist.tau(rows)
         taup[start:stop] = dist.tau_prime(rows)
-        start = stop
     return tau, taup
 
 

@@ -21,6 +21,12 @@ GUARDED_FRACTION_LIMIT = 0.01
 MIN_BIN_COUNT = 50  # fewest draws in one fit_score bin
 
 
+def _unguarded_index(guarded):
+    """Index of the unguarded draws: a boolean mask, whose gathers copy, or
+    a whole slice, whose views do not, when no draw is guarded."""
+    return ~guarded if guarded.any() else slice(None)
+
+
 class ScoreSample:
     """Column store of ``(F, H, normalizer)`` draws; all estimators take it."""
 
@@ -38,8 +44,8 @@ class ScoreSample:
         ``Gamma = normalizer`` and ``Gamma_{Gamma,G} = cross``; draws with
         ``|Gamma| < GUARD`` are guarded and carry ``h = nan``."""
         guarded = np.abs(normalizer) < GUARD
+        ok = _unguarded_index(guarded)
         h = np.full_like(f, np.nan)
-        ok = ~guarded
         h[ok] = g[ok] / normalizer[ok] + cross[ok] / normalizer[ok] ** 2
         return cls(f=f, h=h, aux=normalizer, guarded=guarded)
 
@@ -66,7 +72,10 @@ class ScoreSample:
         return int((~self.guarded).sum())
 
     def unguarded(self):
-        ok = ~self.guarded
+        """``(f, h)`` of the unguarded draws: views of the stored arrays
+        when no draw is guarded, else copies without the guarded draws.
+        Callers must not write to them."""
+        ok = _unguarded_index(self.guarded)
         return self.f[ok], self.h[ok]
 
     def split_half(self):

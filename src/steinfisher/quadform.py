@@ -154,10 +154,18 @@ class QuadFormModel:
         return ScoreSample.represent(f, f, theta, theta_theta_f)
 
 
+def _draw_block(n: int) -> int:
+    """Draws per block of a chunked quadratic-form draw: eight
+    :func:`_block_draws` sub-blocks, so about 2**18 / n draws and 2 MB of
+    coordinates up to n = 128, and 2048 draws beyond."""
+    return 8 * _block_draws(n)
+
+
 def draw_score_pairs(model: QuadFormModel, stream, reps: int) -> ScoreSample:
-    """``reps`` score pairs drawn in fixed-size chunks from one stream."""
+    """``reps`` score pairs drawn from one stream in :func:`_draw_block`
+    blocks, each evaluated as it is drawn."""
     blocks = [model.evaluate(sample_columns(model.dists, stream, m))
-              for m in chunk_sizes(reps)]
+              for m in chunk_sizes(reps, _draw_block(model.n))]
     return ScoreSample.concat(blocks)
 
 
@@ -215,7 +223,9 @@ def gaussian_negative_moment_norm_mc(matrix: CoefficientMatrix, order: float,
     a = matrix.entries
     log_radial = math.lgamma(n / 2.0 - order) - math.lgamma(n / 2.0)
     total = 0.0
-    for m in chunk_sizes(reps):
+    # Row blocks of a C-order fill take the stream in the same order as
+    # one whole (reps, n) draw.
+    for m in chunk_sizes(reps, _draw_block(n)):
         x = stream.standard_normal((m, n))
         u = x / np.linalg.norm(x, axis=1, keepdims=True)
         total += float((np.linalg.norm(u @ a, axis=1) ** (-2.0 * order)).sum())

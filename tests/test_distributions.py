@@ -126,6 +126,21 @@ def test_sample_columns_is_coordinate_major_in_stream_order():
         assert np.array_equal(x[:, k], dist.sampler(replay, m))
 
 
+def test_sample_columns_draws_each_run_of_identical_specs_at_once():
+    m = 211
+    t = catalog_get("student_t(20)")
+    x = sample_columns([t] * 3, substream(9, "runs"), m)
+    assert np.array_equal(x.T, t.sampler(substream(9, "runs"), (3, m)))
+    # these samplers take one stream value per draw in C order, so a run
+    # drawn at once is the column-by-column draw
+    names = ("uniform", "exponential_centered", "gaussian")
+    dists = [catalog_get(name) for name in names for _ in range(3)]
+    x = sample_columns(dists, substream(10, "runs"), m)
+    replay = substream(10, "runs")
+    for k, dist in enumerate(dists):
+        assert np.array_equal(x[:, k], dist.sampler(replay, m))
+
+
 def test_kernel_columns_calls_each_run_of_identical_specs_once():
     calls = []
     u, g, e = (counting_spec(catalog_get(name), calls)

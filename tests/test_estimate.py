@@ -51,6 +51,48 @@ def test_estimators_take_only_score_samples(estimator):
         estimator(pairs)
 
 
+def synthetic_sample(guard_one: bool, m=40_000):
+    rng = np.random.default_rng(17)
+    f = rng.standard_normal(m)
+    normalizer = rng.uniform(0.5, 2.0, m)
+    if guard_one:
+        normalizer[123] = 0.0
+    return ScoreSample.represent(f, f, normalizer, rng.standard_normal(m))
+
+
+def test_unguarded_is_a_view_only_when_nothing_is_guarded():
+    whole = synthetic_sample(guard_one=False)
+    f, h = whole.unguarded()
+    assert np.shares_memory(f, whole.f) and np.shares_memory(h, whole.h)
+    assert not np.isnan(whole.h).any()
+    one = synthetic_sample(guard_one=True)
+    assert one.guarded.sum() == 1 and np.isnan(one.h[123])
+    f, h = one.unguarded()
+    assert not (np.shares_memory(f, one.f) or np.shares_memory(h, one.h))
+    keep = np.arange(len(one)) != 123
+    assert np.array_equal(f, one.f[keep]) and np.array_equal(h, one.h[keep])
+    # represent's unmasked H is the masked one, bit for bit
+    assert np.array_equal(one.h[keep], whole.h[keep])
+
+
+@pytest.mark.parametrize("guard_one", [False, True])
+def test_estimators_match_the_masked_path(guard_one, monkeypatch):
+    sample = synthetic_sample(guard_one)
+    grid = np.linspace(-3.0, 3.0, 31)
+
+    def results():
+        est, se, score = plugin_split(sample)
+        density = density_representation(sample, grid)
+        return (fisher_distance_upper(sample), (est, se), score.bin_edges,
+                score.bin_means, density.values, density.std_errors)
+
+    fast = results()
+    monkeypatch.setattr(ScoreSample, "unguarded", lambda s: (
+        s.f[~s.guarded], s.h[~s.guarded]))
+    for u, v in zip(fast, results()):
+        assert np.array_equal(u, v)
+
+
 def test_upper_gaussian_fixed_point_and_adversarial():
     sample = gaussian_sum_sample(reps=5000)
     est, se, gf = fisher_distance_upper(sample)

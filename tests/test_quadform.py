@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steinfisher.distributions import catalog_get, sample_columns
+from steinfisher.distributions import (CHUNK, catalog_get, chunk_sizes,
+                                       sample_columns)
 from steinfisher.errors import (ContractViolation, DegenerateModel,
                                 InvalidInput, NotIntegrable)
 from steinfisher.estimate import (ScoreSample, fisher_distance_upper,
@@ -173,6 +174,41 @@ def test_evaluate_memory_stays_bounded():
     assert peak < 16e6
 
 
+def test_draw_score_pairs_memory_stays_bounded():
+    n = 128
+    model = QuadFormModel(banded_coefficients(n),
+                          [catalog_get("uniform")] * n)
+    tracemalloc.start()
+    try:
+        draw_score_pairs(model, substream(94, "draw-memory"), CHUNK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole (m, n) chunk of coordinates alone is 16.8 MB; a draw
+    # block of eight sub-blocks is about 2 MB
+    assert peak < 6e6
+
+
+@pytest.mark.parametrize("n", [8, 16, 37, 130])
+def test_draw_score_pairs_replays_draw_blocks(n):
+    rng = np.random.default_rng(n)
+    model = QuadFormModel(CoefficientMatrix(rng.normal(size=(n, n))),
+                          mixed_laws(n))
+    reps = CHUNK + 777
+    got = draw_score_pairs(model, substream(95, "blocks", n), reps)
+    replay = substream(95, "blocks", n)
+    sizes = chunk_sizes(reps, 8 * _block_draws(n))
+    want = ScoreSample.concat([model.evaluate(sample_columns(model.dists,
+                                                             replay, m))
+                               for m in sizes])
+    for u, v in ((got.f, want.f), (got.h, want.h), (got.aux, want.aux),
+                 (got.guarded, want.guarded)):
+        assert np.array_equal(u, v, equal_nan=True)
+    # up to n = 16 a block holds a whole CHUNK, so those draws are the
+    # ones a whole-chunk draw gives
+    assert (sizes[0] >= CHUNK) == (n <= 16)
+
+
 def test_theta_nonnegative_and_lower_bound():
     # tau >= tau0 > 0 holds for gaussian (tau0 = 1) and student (18/19)
     for name, tau0 in (("gaussian", 1.0), ("student_t(20)", 18.0 / 19.0)):
@@ -333,7 +369,7 @@ def test_gaussian_negative_moment_norm_mc_memory_stays_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # a 16384-draw chunk holds a few 8.4 MB (m, 64) arrays; one
+    # a 4096-draw block holds a few 2 MB (m, 64) arrays; one
     # 100 000-draw block held about 200 MB
     assert peak < 48e6
 
