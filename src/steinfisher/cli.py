@@ -12,11 +12,16 @@ as text and converted by one table.  Example::
     out_path = sum_rate.csv
     format = csv
 
-The three rate experiments share one runner: at each ``n`` a model is built
-and drawn in shards of ``distributions.CHUNK`` pairs, each on its own
-substream.  ``sum_rate`` is the identity-link sample-mean model (the
-normalized sum), ``samplemean_rate`` takes its link from the config, and
-``quadform_rate`` uses the banded family or a matrix file.
+The three rate experiments share one runner: a model is built at each
+``n``, and draws come in shards of ``distributions.CHUNK`` pairs, each on
+its own substream.  A sample-mean shard draws the largest ``n``'s
+coordinates once, keyed by that ``n``, and reads every grid point off the
+first ``n`` of them; a quadratic-form shard is drawn per ``n``.  Each
+shard is reduced in its worker to one accumulator per grid point, and the
+accumulators merge in shard order.  ``sum_rate`` is the identity-link
+sample-mean model (the normalized sum), ``samplemean_rate`` takes its link
+from the config, and ``quadform_rate`` uses the banded family or a matrix
+file.
 
 Output rows share one schema (header comment ``# stein-fisher v1``):
 ``experiment,n,reps,seed,estimator,estimate,standard_error,
@@ -26,9 +31,10 @@ when four or more grid points have a positive estimate.
 Emitted files are byte-identical for a fixed config and seed; wall-clock
 timings therefore go to stderr and the file column stays 0 unless
 ``--timing`` is passed; then each grid point's rows carry that point's
-milliseconds, rate-fit rows 0, and ``kernel_check`` and ``convert`` rows
-the whole run's.  ``STEINFISHER_THREADS`` caps shard-level worker
-threads (shards merge in fixed order either way).
+milliseconds (a shared draw's go to the largest ``n`` it serves), rate-fit
+rows 0, and ``kernel_check`` and ``convert`` rows the whole run's.
+``STEINFISHER_THREADS`` caps shard-level worker threads (shards merge in
+fixed order either way).
 
 Exit codes: 0 success; 2 a config that cannot run, with field-level JSON on
 stderr (this includes a command line argparse cannot read, reported as
@@ -44,6 +50,7 @@ guard-dominated draws, or a quadrature that missed its tolerance.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -273,20 +280,27 @@ def _shard_threads() -> int:
     return int(text)
 
 
-def _run_shards(draw, model, seed: int, n: int, reps: int,
-                threads: int) -> estimate.ScoreSample:
-    """Draw shards on independent substreams and merge them in order."""
+def _run_shards(draw, seed: int, n: int, reps: int, threads: int) -> list:
+    """Draw shards on independent substreams keyed by ``n``, reduce each
+    shard's samples to accumulators in its worker, and merge those in shard
+    order, so the result does not depend on ``threads``.
+
+    ``draw(stream, size)`` returns a list of samples; the result holds one
+    merged :class:`estimate.UpperAccumulator` per entry of that list.
+    """
     def one(job):
         shard, size = job
-        return draw(model, substream(seed, "main", n, shard), size)
+        return [estimate.UpperAccumulator.of(sample) for sample in
+                draw(substream(seed, "main", n, shard), size)]
 
     jobs = list(enumerate(chunk_sizes(reps)))
     if threads > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = list(pool.map(one, jobs))
+            shards = list(pool.map(one, jobs))
     else:
-        blocks = [one(job) for job in jobs]
-    return estimate.ScoreSample.concat(blocks)
+        shards = [one(job) for job in jobs]
+    return [functools.reduce(estimate.UpperAccumulator.merge, accs)
+            for accs in zip(*shards)]
 
 
 def _ms_since(t0: float) -> int:
@@ -304,10 +318,13 @@ def _rows(config, n, reps, wall_time_ms, values, standard_error=0.0,
                       wall_time_ms=wall_time_ms) for name, value in values]
 
 
-# Rate-experiment points: ``point(config, dist, n)`` returns the draw
-# function, the model it draws from, and any ``(estimator, estimate)``
-# pairs reported next to the ``fisher_upper`` row at ``n``.  Draw
-# functions are looked up on their modules at call time.
+# Rate-experiment families.  ``point(config, dist, n)`` builds the model
+# at ``n`` and returns it with any ``(estimator, estimate)`` pairs reported
+# next to its ``fisher_upper`` row.  ``draw(models, stream, size)`` draws one
+# shard for a group of models and returns one sample per model.  A nested
+# family draws the whole grid as one group, keyed by its largest n; the
+# others draw each n as a group of one.  Draw functions are looked up on
+# their modules at call time.
 
 def _samplemean_point(config, dist, n):
     model = samplemean.sample_mean_model(
@@ -315,7 +332,14 @@ def _samplemean_point(config, dist, n):
         stream=substream(config.seed, "prepass", n),
         prepass_reps=max(10 ** 4, config.reps),
     )
-    return samplemean.draw_score_pairs_sm, model, []
+    return model, []
+
+
+def _samplemean_draw(models, stream, size):
+    # F depends on its first n coordinates only through their running sums,
+    # so one draw of the largest model is read out at every n.
+    return samplemean.draw_score_pairs_sm(models[-1], stream, size,
+                                          readouts=models)
 
 
 def _quadform_point(config, dist, n):
@@ -328,26 +352,42 @@ def _quadform_point(config, dist, n):
                 f"with matrix_path the grid must equal ({matrix.n},)")})
     model = quadform.QuadFormModel(matrix, [dist] * n)
     factor = quadform.matrix_functionals(matrix).structural_factor
-    return quadform.draw_score_pairs, model, [("structural_factor", factor)]
+    return model, [("structural_factor", factor)]
 
 
-def _run_rate(config: ExperimentConfig, point):
+def _quadform_draw(models, stream, size):
+    return [quadform.draw_score_pairs(model, stream, size) for model in models]
+
+
+def _run_rate(config: ExperimentConfig, point, draw, nested: bool):
     """``fisher_upper`` per grid point, then a rate fit when four or more
-    of them are positive."""
+    of them are positive.
+
+    Every model is built first.  A point's time is its model's build time,
+    plus, at the largest n of a draw group, the group's draw time.
+    """
     threads = _shard_threads()
     dist = catalog_get(config.dist)
-    rows, uppers = [], []
-    for n in config.n_grid:
+    grid = config.n_grid
+    models, extras, seconds, uppers = {}, {}, {}, {}
+    for n in grid:
         t0 = time.monotonic()
-        draw, model, extra = point(config, dist, n)
-        est, se, gf = estimate.fisher_distance_upper(
-            _run_shards(draw, model, config.seed, n, config.reps, threads))
-        uppers.append((n, est))
-        ms = _ms_since(t0)
+        models[n], extras[n] = point(config, dist, n)
+        seconds[n] = time.monotonic() - t0
+    for group in ([grid] if nested else [(n,) for n in grid]):
+        t0 = time.monotonic()
+        accs = _run_shards(functools.partial(draw, [models[n] for n in group]),
+                           config.seed, group[-1], config.reps, threads)
+        uppers.update(zip(group, (acc.finish() for acc in accs)))
+        seconds[group[-1]] += time.monotonic() - t0
+    rows = []
+    for n in grid:
+        ms = int(round(seconds[n] * 1000.0))
+        est, se, gf = uppers[n]
         rows += _rows(config, n, config.reps, ms, [("fisher_upper", est)], se, gf)
-        rows += _rows(config, n, config.reps, ms, extra)
+        rows += _rows(config, n, config.reps, ms, extras[n])
     # log-log fit: a zero estimate (an exactly Gaussian statistic) has no rate
-    positive = [(n, est) for n, est in uppers if est > 0.0]
+    positive = [(n, uppers[n][0]) for n in grid if uppers[n][0] > 0.0]
     if len(positive) >= 4:
         fit = estimate.fit_rate(*zip(*positive))
         rows += _rows(config, 0, config.reps, 0, [
@@ -400,9 +440,12 @@ def _run_convert(config: ExperimentConfig):
 
 _RUNNERS = {
     "sum_rate": lambda config: _run_rate(replace(config, link="identity"),
-                                         _samplemean_point),
-    "samplemean_rate": lambda config: _run_rate(config, _samplemean_point),
-    "quadform_rate": lambda config: _run_rate(config, _quadform_point),
+                                         _samplemean_point, _samplemean_draw,
+                                         nested=True),
+    "samplemean_rate": lambda config: _run_rate(
+        config, _samplemean_point, _samplemean_draw, nested=True),
+    "quadform_rate": lambda config: _run_rate(
+        config, _quadform_point, _quadform_draw, nested=False),
     "kernel_check": _run_kernel_check,
     "negmoment": _run_negmoment,
     "convert": _run_convert,

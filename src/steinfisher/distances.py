@@ -20,8 +20,13 @@ UNIFORM_DENSITY_COEFF = 1.0 + math.sqrt(6.0 / math.pi)
 class DistanceReport:
     """Bounds implied by one Fisher information distance value.
 
-    Bounds are never clipped at their trivial caps; vacuous ones (for now
-    only a total variation above 1) are flagged in ``cap_notes`` instead.
+    ``kl`` is half the Fisher distance (the log-Sobolev inequality).
+    ``wasserstein2`` is ``2 * kl``, Talagrand's bound on the squared
+    distance W2^2, not on W2.  ``total_variation`` is ``sqrt(2 * kl)``,
+    Pinsker's bound on the L1 distance ``||p - q||_1``, which never
+    exceeds 2.  Bounds are never clipped at their trivial caps; vacuous
+    ones (for now only a total variation above 2) are flagged in
+    ``cap_notes`` instead.
     """
 
     fisher: float
@@ -42,8 +47,8 @@ def convert(fisher_value: float, *,
     kl = fisher_value / 2.0
     tv = math.sqrt(2.0 * kl)
     notes = []
-    if tv > 1.0:
-        notes.append("total_variation bound exceeds the trivial cap 1")
+    if tv > 2.0:
+        notes.append("total_variation bound exceeds the trivial L1 cap 2")
     return DistanceReport(
         fisher=fisher_value,
         uniform_density=UNIFORM_DENSITY_COEFF * math.sqrt(fisher_value),

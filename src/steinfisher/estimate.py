@@ -51,6 +51,9 @@ class ScoreSample:
 
     @classmethod
     def concat(cls, samples) -> "ScoreSample":
+        """The samples' draws in order; a lone sample is returned as it is."""
+        if len(samples) == 1:
+            return samples[0]
         return cls(
             np.concatenate([s.f for s in samples]),
             np.concatenate([s.h for s in samples]),
@@ -60,16 +63,6 @@ class ScoreSample:
 
     def __len__(self) -> int:
         return self.f.size
-
-    @property
-    def guarded_fraction(self) -> float:
-        if len(self) == 0:
-            return 0.0
-        return float(self.guarded.mean())
-
-    @property
-    def n_unguarded(self) -> int:
-        return int((~self.guarded).sum())
 
     def unguarded(self):
         """``(f, h)`` of the unguarded draws: views of the stored arrays
@@ -93,15 +86,22 @@ def _require_sample(sample) -> ScoreSample:
     return sample
 
 
+def _check_counts(draws: int, guarded: int, minimum: int) -> None:
+    """Refuse ``draws`` of which ``guarded`` are guarded: more than
+    :data:`GUARDED_FRACTION_LIMIT` of them, or fewer than ``minimum`` left."""
+    fraction = guarded / draws if draws else 0.0
+    if fraction > GUARDED_FRACTION_LIMIT:
+        raise GuardDominated(
+            f"guarded fraction {fraction:.4f} exceeds "
+            f"{GUARDED_FRACTION_LIMIT:.2%}")
+    if draws - guarded < minimum:
+        raise InsufficientData(
+            f"need at least {minimum} unguarded pairs, have {draws - guarded}")
+
+
 def _checked(sample, minimum: int) -> ScoreSample:
     sample = _require_sample(sample)
-    if sample.guarded_fraction > GUARDED_FRACTION_LIMIT:
-        raise GuardDominated(
-            f"guarded fraction {sample.guarded_fraction:.4f} exceeds "
-            f"{GUARDED_FRACTION_LIMIT:.2%}")
-    if sample.n_unguarded < minimum:
-        raise InsufficientData(
-            f"need at least {minimum} unguarded pairs, have {sample.n_unguarded}")
+    _check_counts(len(sample), int(sample.guarded.sum()), minimum)
     return sample
 
 
@@ -109,15 +109,68 @@ def _mean_se(values):
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
 
 
+@dataclass(frozen=True)
+class UpperAccumulator:
+    """Mergeable statistics of the upper bound ``E|H - F|^2``.
+
+    ``draws`` and ``guarded`` count all draws and the guarded ones; ``mean``
+    is the mean of ``(H - F)^2`` over the unguarded draws and ``m2`` the sum
+    of its squared deviations from ``mean``.  Blocks of draws are reduced by
+    :meth:`of`, combined by :meth:`merge` and turned into the estimate by
+    :meth:`finish`, which is where the draw counts are checked.
+    """
+
+    draws: int
+    guarded: int
+    mean: float
+    m2: float
+
+    @classmethod
+    def of(cls, sample) -> "UpperAccumulator":
+        """One sample's statistics, with one temporary the size of its
+        unguarded draws; ``mean`` and ``m2`` are computed as numpy's
+        ``mean`` and ``std`` compute them, so :meth:`finish` of a single
+        block gives their bits."""
+        sample = _require_sample(sample)
+        f, h = sample.unguarded()
+        d = h - f
+        np.multiply(d, d, out=d)
+        mean = float(d.mean()) if d.size else 0.0
+        d -= mean
+        m2 = float(np.multiply(d, d, out=d).sum())
+        return cls(len(sample), len(sample) - d.size, mean, m2)
+
+    def merge(self, other: "UpperAccumulator") -> "UpperAccumulator":
+        """The statistics of both blocks of draws, by the pairwise update of
+        Chan, Golub & LeVeque (1979); merging in a fixed order gives fixed
+        bits."""
+        a = self.draws - self.guarded
+        b = other.draws - other.guarded
+        if b == 0 or a == 0:
+            mean, m2 = (self.mean, self.m2) if b == 0 else (other.mean, other.m2)
+        else:
+            delta = other.mean - self.mean
+            mean = self.mean + delta * (b / (a + b))
+            m2 = self.m2 + other.m2 + delta * delta * (a * b / (a + b))
+        return UpperAccumulator(self.draws + other.draws,
+                                self.guarded + other.guarded, mean, m2)
+
+    def finish(self):
+        """``(estimate, standard_error, guarded_fraction)``; refused when more
+        than 1% of the draws are guarded or fewer than 1000 are not."""
+        _check_counts(self.draws, self.guarded, 10 ** 3)
+        n = self.draws - self.guarded
+        return (self.mean, math.sqrt(self.m2 / (n - 1)) / math.sqrt(n),
+                self.guarded / self.draws)
+
+
 def fisher_distance_upper(sample):
     """Sample mean and standard error of ``(H - F)^2``; the upper bound.
 
-    Returns ``(estimate, standard_error, guarded_fraction)``.
+    Returns ``(estimate, standard_error, guarded_fraction)``: the
+    :class:`UpperAccumulator` of the sample as one block, finished.
     """
-    sample = _checked(sample, 10 ** 3)
-    f, h = sample.unguarded()
-    est, se = _mean_se((h - f) ** 2)
-    return est, se, sample.guarded_fraction
+    return UpperAccumulator.of(sample).finish()
 
 
 @dataclass(frozen=True)

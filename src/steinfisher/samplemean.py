@@ -149,20 +149,15 @@ class SampleMeanModel:
         return self.reduce_columns(x.T)
 
     def reduce_columns(self, columns) -> ScoreSample:
-        """Score-pair arrays from the draws' coordinate columns.
+        """Score-pair arrays from the draws' coordinate columns: the last
+        running sums of :func:`fold_columns`, finished."""
+        for sums in fold_columns(self.dists, columns):
+            pass
+        return self.finish(*sums)
 
-        ``columns`` yields one length-m column per coordinate, in order
-        0..n-1.  Each column is folded into three running sums (Σx_k, Στ_k
-        and Στ'_k·τ_k) and dropped, so the (m, n) block of draws and its
-        kernels are never held; starting at 0.0 and adding in coordinate
-        order is numpy's axis-0 reduction of the block, to the bit.
-        """
-        x_sum = tau_sum = tt_sum = 0.0
-        for dist, col in zip(self.dists, columns):
-            tau = dist.tau(col)
-            x_sum += col
-            tau_sum += tau
-            tt_sum += dist.tau_prime(col) * tau
+    def finish(self, x_sum, tau_sum, tt_sum) -> ScoreSample:
+        """Score-pair arrays from the sums of :func:`fold_columns` over this
+        model's ``n`` coordinates."""
         link = self.link
         n = self.n
         sigma = self.sigma
@@ -243,12 +238,49 @@ def sample_mean_model(link: SmoothLink, dists, n: Optional[int] = None, *,
                            pre_pass_se=se)
 
 
-def draw_score_pairs_sm(model: SampleMeanModel, stream, reps: int) -> ScoreSample:
-    """``reps`` score pairs drawn in fixed-size chunks from one stream."""
-    blocks = [model.reduce_columns(dist.sampler(stream, m)
-                                   for dist in model.dists)
-              for m in chunk_sizes(reps)]
-    return ScoreSample.concat(blocks)
+def fold_columns(dists, columns):
+    """Running sums ``(Σx_k, Στ_k, Στ'_k·τ_k)``, yielded after each column.
+
+    ``columns`` yields one length-m column per coordinate, in order 0..n-1,
+    and column ``k`` follows ``dists[k]``.  Each column is folded into the
+    sums and dropped, so the (m, n) block of draws and its kernels are never
+    held; starting at 0.0 and adding in coordinate order is numpy's axis-0
+    reduction of the block, to the bit.  The sums are updated in place, so
+    a consumer reads each yield before it asks for the next.
+    """
+    x_sum = tau_sum = tt_sum = 0.0
+    for dist, col in zip(dists, columns):
+        tau = dist.tau(col)
+        x_sum += col
+        tau_sum += tau
+        tt_sum += dist.tau_prime(col) * tau
+        yield x_sum, tau_sum, tt_sum
+
+
+def draw_score_pairs_sm(model: SampleMeanModel, stream, reps: int,
+                        readouts=None):
+    """``reps`` score pairs drawn in fixed-size chunks from one stream.
+
+    With ``readouts``, models whose laws are the first ``r.n`` of
+    ``model``'s, the draw is nested: each chunk draws ``model.n`` columns
+    once, and each readout finishes the running sums at its own ``n``.  The
+    result is then a list with one sample per readout.  Within one chunk
+    (``reps <= CHUNK``) readout ``r``'s draws are the first ``r.n`` columns,
+    so its sample is, to the bit, ``draw_score_pairs_sm(r, stream, reps)``
+    on the same stream.
+    """
+    models = (model,) if readouts is None else tuple(readouts)
+    if any(r.dists != model.dists[:r.n] for r in models):
+        raise InvalidInput("a readout's laws must be the first of the model's")
+    blocks = [[] for _ in models]
+    for m in chunk_sizes(reps):
+        columns = (dist.sampler(stream, m) for dist in model.dists)
+        for k, sums in enumerate(fold_columns(model.dists, columns), start=1):
+            for r, out in zip(models, blocks):
+                if r.n == k:
+                    out.append(r.finish(*sums))
+    samples = [ScoreSample.concat(out) for out in blocks]
+    return samples[0] if readouts is None else samples
 
 
 def linear_sum_pairs(dists, n: int, stream, reps: int):

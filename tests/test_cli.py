@@ -1,7 +1,7 @@
 import json
 import math
-import os
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,6 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from steinfisher import samplemean
+from steinfisher.distributions import catalog_get, chunk_sizes
+from steinfisher.estimate import ScoreSample, fisher_distance_upper
+from steinfisher.streams import substream
 from steinfisher.cli import (EXPERIMENTS, ExperimentConfig, main,
                              parse_config_file,
                              parse_matrix, rows_from_csv, rows_from_json,
@@ -247,22 +250,18 @@ def test_byte_identical_output(tmp_path):
     assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
-def test_shard_merge_invariant_to_thread_count(tmp_path):
-    base = dict(experiment="sum_rate", dist="uniform", n_grid=(8, 16, 32, 64),
-                reps=40_000, seed=5)
-    p1, p2 = str(tmp_path / "t1.csv"), str(tmp_path / "t4.csv")
-    old = os.environ.get("STEINFISHER_THREADS")
-    try:
-        os.environ["STEINFISHER_THREADS"] = "1"
-        run(ExperimentConfig(out_path=p1, **base))
-        os.environ["STEINFISHER_THREADS"] = "4"
-        run(ExperimentConfig(out_path=p2, **base))
-    finally:
-        if old is None:
-            os.environ.pop("STEINFISHER_THREADS", None)
-        else:
-            os.environ["STEINFISHER_THREADS"] = old
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+def test_shard_merge_invariant_to_thread_count(tmp_path, monkeypatch):
+    # Three shards, so every worker count from 2 on runs shards at once.
+    for experiment in ("sum_rate", "samplemean_rate", "quadform_rate"):
+        outputs = []
+        for threads in ("1", "2", "4"):
+            monkeypatch.setenv("STEINFISHER_THREADS", threads)
+            path = tmp_path / f"{experiment}{threads}.csv"
+            run(ExperimentConfig(experiment=experiment, dist="uniform",
+                                 link="tanh", n_grid=(8, 16, 32, 64),
+                                 reps=40_000, seed=5, out_path=str(path)))
+            outputs.append(path.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2], experiment
 
 
 def test_main_exit_codes(tmp_path):
@@ -510,6 +509,11 @@ def test_negmoment_small_alpha(tmp_path, dist, n, alpha):
      "--n-grid", "4,8,16,32", "--reps", "20000"],
     ["--experiment", "negmoment", "--dist", "uniform", "--n-grid", "8,16,32"],
     ["--experiment", "kernel_check", "--dist", "uniform", "--n-grid", "1"],
+    # one nested draw serves the grid; its time goes on the largest n
+    ["--experiment", "sum_rate", "--dist", "uniform",
+     "--n-grid", "8,16,32,64", "--reps", "40000"],
+    ["--experiment", "samplemean_rate", "--link", "tanh", "--dist", "uniform",
+     "--n-grid", "8,16,32,64", "--reps", "20000"],
 ])
 def test_timing_is_measured_per_grid_point(tmp_path, capsys, argv):
     out = tmp_path / "o.csv"
@@ -524,7 +528,7 @@ def test_timing_is_measured_per_grid_point(tmp_path, capsys, argv):
             per_point.setdefault(r.n, set()).add(r.wall_time_ms)
     assert all(len(times) == 1 for times in per_point.values())
     assert any(r.estimator.startswith("rate_fit_") for r in rows) == (
-        "quadform_rate" in argv)
+        argv[1].endswith("_rate"))
     times = [t for (t,) in per_point.values()]
     assert sum(times) <= total_ms + len(times)
     if "quadform_rate" in argv:
@@ -545,24 +549,100 @@ def test_sum_rate_is_identity_link_samplemean(tmp_path):
     assert by_experiment["sum_rate"] == by_experiment["samplemean_rate"]
 
 
+def replayed_uppers(grid, reps, seed, dist="uniform", link="identity"):
+    """``fisher_upper`` of a sample-mean rate run, replayed one grid point
+    at a time: shard ``s`` of ``m`` draws at ``n`` is
+    ``draw_score_pairs_sm(model_n, substream(seed, "main", max(grid), s), m)``
+    with ``model_n`` built as the CLI builds it, and the shards are
+    concatenated and reduced two-pass, with no merge."""
+    law = catalog_get(dist)
+    out = []
+    for n in grid:
+        model = samplemean.sample_mean_model(
+            samplemean.link_by_name(link), [law] * n, n,
+            stream=substream(seed, "prepass", n),
+            prepass_reps=max(10 ** 4, reps))
+        shards = [samplemean.draw_score_pairs_sm(
+            model, substream(seed, "main", grid[-1], shard), size)
+            for shard, size in enumerate(chunk_sizes(reps))]
+        out.append(fisher_distance_upper(ScoreSample.concat(shards)))
+    return out
+
+
 # fisher_upper per rate experiment at n = 8, 16 over uniform inputs with
 # reps 20000 (two shards) and seed 31.  Any change to the stream order of
-# the draws shows up here.
+# the draws shows up here.  The sample-mean values are replayed_uppers'.
 PINNED_UPPER = {
-    "sum_rate": (0.03728334244836239, 0.016229917682039262),
-    "samplemean_rate": (0.15671800934876712, 0.04380223437948173),
+    "sum_rate": (0.03987473486684918, 0.01622991768203926),
+    "samplemean_rate": (0.19014944651982155, 0.04380223437948173),
     "quadform_rate": (0.4322414576062821, 0.1431705887277595),
 }
+PINNED_LINK = {"samplemean_rate": "sin"}
 
 
 @pytest.mark.parametrize("experiment", sorted(PINNED_UPPER))
 def test_rate_estimates_pinned(tmp_path, experiment):
     cfg = ExperimentConfig(
         experiment=experiment, dist="uniform", n_grid=(8, 16), reps=20_000,
-        seed=31, link="sin" if experiment == "samplemean_rate" else None,
+        seed=31, link=PINNED_LINK.get(experiment),
         out_path=str(tmp_path / "p.csv"))
     uppers = [r.estimate for r in run(cfg) if r.estimator == "fisher_upper"]
     np.testing.assert_allclose(uppers, PINNED_UPPER[experiment], rtol=1e-12)
+
+
+@pytest.mark.parametrize("experiment", ["sum_rate", "samplemean_rate"])
+def test_pins_replay_one_grid_point_at_a_time(experiment):
+    replayed = replayed_uppers((8, 16), 20_000, 31,
+                               link=PINNED_LINK.get(experiment, "identity"))
+    np.testing.assert_allclose([est for est, _, _ in replayed],
+                               PINNED_UPPER[experiment], rtol=1e-12)
+
+
+@pytest.mark.parametrize("dist,link", [("uniform", "identity"),
+                                       ("exponential_centered", "tanh")])
+def test_nested_rows_match_the_replay(tmp_path, dist, link):
+    # Three shards, the last one short; merged accumulators against a
+    # two-pass reduction of the replayed whole sample.
+    grid, reps = (3, 8, 16, 40), 2 * 16384 + 5000
+    rows = run(ExperimentConfig(
+        experiment="samplemean_rate", dist=dist, link=link, n_grid=grid,
+        reps=reps, seed=9, out_path=str(tmp_path / "r.csv")))
+    got = [(r.estimate, r.standard_error, r.guarded_fraction)
+           for r in rows if r.estimator == "fisher_upper"]
+    want = replayed_uppers(grid, reps, 9, dist=dist, link=link)
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def test_short_last_shard_is_counted_in_the_merge(tmp_path):
+    # 16484 draws: a full shard and a 100-draw one, which alone would have
+    # too few draws; the counts are checked once they are merged.
+    out = tmp_path / "o.csv"
+    assert main(["run", "--experiment", "sum_rate", "--dist", "uniform",
+                 "--n-grid", "8,16,32,64", "--reps", "16484",
+                 "--out-path", str(out)]) == 0
+    rows = rows_from_csv(out.read_text())
+    assert [r.reps for r in rows if r.estimator == "fisher_upper"] == [16484] * 4
+
+
+def _traced_peak(tmp_path, reps):
+    cfg = ExperimentConfig(experiment="sum_rate", dist="uniform",
+                           n_grid=(8, 16, 32, 64, 128), reps=reps, seed=2,
+                           out_path=str(tmp_path / f"m{reps}.csv"))
+    tracemalloc.start()
+    try:
+        run(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_rate_run_memory_does_not_grow_with_reps(tmp_path, monkeypatch):
+    # Each shard is reduced to accumulators as it is drawn, so 4x the draws
+    # hold no more memory; a whole-sample store grows by 25 bytes a draw.
+    monkeypatch.delenv("STEINFISHER_THREADS", raising=False)
+    small = _traced_peak(tmp_path, 100_000)
+    large = _traced_peak(tmp_path, 400_000)
+    assert large - small < 2 ** 20, (small, large)
 
 
 # Derandomized so that tier-1 runs the same 30 configs, and takes the same

@@ -31,10 +31,12 @@ def test_convert_tabulated_example():
 
 
 def test_convert_flags_vacuous_tv():
-    r = convert(2.0)
-    assert r.kl == pytest.approx(1.0)
-    assert r.total_variation == pytest.approx(math.sqrt(2.0))
+    # total_variation bounds ||p - q||_1, whose trivial cap is 2
+    r = convert(4.5)
+    assert r.kl == pytest.approx(2.25)
+    assert r.total_variation == pytest.approx(math.sqrt(4.5))
     assert any("total_variation" in note for note in r.cap_notes)
+    assert convert(3.0).cap_notes == ()
 
 
 def test_convert_rejects_negative():

@@ -12,8 +12,8 @@ from steinfisher.estimate import (GUARD, MIN_BIN_COUNT, BinConfig,
                                   ScoreSample,
                                   density_representation,
                                   fisher_distance_plugin,
-                                  fisher_distance_upper, fit_rate, fit_score,
-                                  plugin_split)
+                                  UpperAccumulator, fisher_distance_upper,
+                                  fit_rate, fit_score, plugin_split)
 from steinfisher.quadform import CoefficientMatrix, QuadFormModel
 from steinfisher.samplemean import (identity_link, draw_score_pairs_sm,
                                     linear_sum_pairs, sample_mean_model)
@@ -115,6 +115,54 @@ def test_upper_requires_data_and_guard_limit():
     h = np.where(guarded, np.nan, 0.0)
     with pytest.raises(GuardDominated):
         fisher_distance_upper(ScoreSample(f=f, h=h, aux=f, guarded=guarded))
+
+
+def test_merged_accumulators_match_two_pass_over_the_whole_sample():
+    # Uneven shards, one of them all guarded and some with guarded draws.
+    rng = np.random.default_rng(3)
+    shards = []
+    for size, n_guarded in ((16384, 0), (1, 0), (7, 7), (5000, 30), (333, 2)):
+        f = rng.standard_normal(size)
+        h = f + 0.3 * rng.standard_exponential(size) - 0.1
+        guarded = np.zeros(size, dtype=bool)
+        guarded[rng.choice(size, n_guarded, replace=False)] = True
+        h[guarded] = np.nan
+        shards.append(ScoreSample(f=f, h=h, aux=np.ones(size), guarded=guarded))
+    merged = UpperAccumulator.of(shards[0])
+    for shard in shards[1:]:
+        merged = merged.merge(UpperAccumulator.of(shard))
+    est, se, gf = merged.finish()
+    whole = ScoreSample.concat(shards)
+    ok = ~whole.guarded
+    values = (whole.h[ok] - whole.f[ok]) ** 2
+    assert est == pytest.approx(values.mean(), rel=1e-12, abs=0.0)
+    assert se == pytest.approx(values.std(ddof=1) / math.sqrt(values.size),
+                               rel=1e-12, abs=0.0)
+    assert gf == 39 / len(whole)
+    # one block gives numpy's two-pass bits
+    assert fisher_distance_upper(whole)[:2] == (
+        float(values.mean()),
+        float(values.std(ddof=1) / math.sqrt(values.size)))
+
+
+def test_draw_counts_are_checked_once_merged():
+    # A 100-draw shard with 5 guarded draws is refused on its own, on
+    # either count, and passes once merged with a clean full shard.
+    f = np.zeros(100)
+    guarded = np.zeros(100, dtype=bool)
+    guarded[:5] = True
+    short = UpperAccumulator.of(ScoreSample(
+        f=f, h=np.where(guarded, np.nan, 0.5), aux=f, guarded=guarded))
+    with pytest.raises(GuardDominated):
+        short.finish()
+    clean = UpperAccumulator(draws=100, guarded=0, mean=0.25, m2=0.0)
+    with pytest.raises(InsufficientData, match="have 100"):
+        clean.finish()
+    f = np.zeros(16384)
+    full = UpperAccumulator.of(ScoreSample(
+        f=f, h=f + 0.5, aux=np.ones_like(f), guarded=np.zeros(16384, bool)))
+    est, se, gf = full.merge(short).finish()
+    assert (est, se, gf) == (0.25, 0.0, 5 / 16484)
 
 
 def test_fit_score_merges_undersized_bins():

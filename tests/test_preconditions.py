@@ -17,7 +17,7 @@ from steinfisher.quadform import (CoefficientMatrix, QuadFormModel,
                                   gaussian_negative_moment_norm_mc)
 from steinfisher.quadrature import integrate
 from steinfisher.samplemean import (SmoothLink, affine_sin_link,
-                                    identity_link, pre_pass, sample_mean_model,
+                                    draw_score_pairs_sm, identity_link, pre_pass, sample_mean_model,
                                     sin_link)
 from steinfisher.streams import substream
 
@@ -60,6 +60,10 @@ PRECONDITIONS = [
                  InvalidInput, "need 4", id="sample-mean-law-count"),
     pytest.param(lambda: sample_mean_model(sin_link(), [GAUSSIAN] * 3),
                  InvalidInput, "pre-pass stream", id="link-without-stream"),
+    pytest.param(lambda: draw_score_pairs_sm(
+        sample_mean_model(identity_link(), [GAUSSIAN] * 4), substream(8), 10,
+        readouts=[sample_mean_model(identity_link(), [catalog_get("uniform")])]),
+                 InvalidInput, "first of the model", id="readout-laws"),
     # sample_mean_model scales a link to |H'(0)| near 1 first; pre_pass alone
     # does not, and the moments of this one overflow
     pytest.param(lambda: pre_pass(affine_sin_link(1e300, 0.0), [GAUSSIAN] * 4,

@@ -234,6 +234,31 @@ def test_streamed_draw_matches_block_evaluate(link_fn):
     assert np.array_equal(streamed.guarded, block.guarded)
 
 
+@pytest.mark.parametrize("law", ["uniform", "exponential_centered"])
+@pytest.mark.parametrize("link_fn", [identity_link, tanh_link])
+def test_nested_readout_replays_each_grid_point(law, link_fn):
+    # One shard is at most one chunk, so the draws at n are the first n
+    # columns of the nested draw's n_max; each n finishes with its own
+    # model (its own pre-pass for tanh).
+    dist = catalog_get(law)
+    grid = (1, 3, 8, 16, 40)
+    models = [sample_mean_model(link_fn(), [dist] * n, n,
+                                stream=substream(30, "prepass", n),
+                                prepass_reps=10 ** 4) for n in grid]
+    for shard, size in enumerate((CHUNK, 777)):
+        nested = draw_score_pairs_sm(models[-1],
+                                     substream(30, "main", 40, shard), size,
+                                     readouts=models)
+        assert len(nested) == len(grid)
+        for model, got in zip(models, nested):
+            want = draw_score_pairs_sm(model, substream(30, "main", 40, shard),
+                                       size)
+            assert np.array_equal(got.f, want.f)
+            assert np.array_equal(got.h, want.h, equal_nan=True)
+            assert np.array_equal(got.aux, want.aux)
+            assert np.array_equal(got.guarded, want.guarded)
+
+
 def test_draw_memory_is_bounded_by_columns():
     # One m x n float64 block at n = 128 is 16.8 MB; the streamed draw
     # holds a few length-m columns instead.
