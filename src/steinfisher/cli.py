@@ -14,14 +14,15 @@ as text and converted by one table.  Example::
 
 The three rate experiments share one runner: a model is built at each
 ``n``, and draws come in shards of ``distributions.CHUNK`` pairs, each on
-its own substream.  A sample-mean shard draws the largest ``n``'s
-coordinates once, keyed by that ``n``, and reads every grid point off the
-first ``n`` of them; a quadratic-form shard is drawn per ``n``.  Each
-shard is reduced in its worker to one accumulator per grid point, and the
-accumulators merge in shard order.  ``sum_rate`` is the identity-link
-sample-mean model (the normalized sum), ``samplemean_rate`` takes its link
-from the config, and ``quadform_rate`` uses the banded family or a matrix
-file.
+its own substream.  A shard draws the largest ``n``'s coordinates once,
+keyed by that ``n``, and reads every grid point off the first ``n`` of
+them: a sample-mean point finishes the running sums at its ``n``, and a
+quadratic-form point sums the per-coordinate terms below its ``n`` and
+recomputes the few next to it.  Each shard is reduced in its worker to one
+accumulator per grid point, and the accumulators merge in shard order.
+``sum_rate`` is the identity-link sample-mean model (the normalized sum),
+``samplemean_rate`` takes its link from the config, and ``quadform_rate``
+uses the banded family or a matrix file, whose grid is its one ``n``.
 
 Output rows share one schema (header comment ``# stein-fisher v1``):
 ``experiment,n,reps,seed,estimator,estimate,standard_error,
@@ -31,7 +32,7 @@ when four or more grid points have a positive estimate.
 Emitted files are byte-identical for a fixed config and seed; wall-clock
 timings therefore go to stderr and the file column stays 0 unless
 ``--timing`` is passed; then each grid point's rows carry that point's
-milliseconds (a shared draw's go to the largest ``n`` it serves), rate-fit
+milliseconds (the shared draw's go to the largest ``n``), rate-fit
 rows 0, and ``kernel_check`` and ``convert`` rows the whole run's.
 ``STEINFISHER_THREADS`` caps shard-level worker threads (shards merge in
 fixed order either way).
@@ -281,17 +282,17 @@ def _shard_threads() -> int:
 
 
 def _run_shards(draw, seed: int, n: int, reps: int, threads: int) -> list:
-    """Draw shards on independent substreams keyed by ``n``, reduce each
-    shard's samples to accumulators in its worker, and merge those in shard
-    order, so the result does not depend on ``threads``.
+    """Draw shards on independent substreams keyed by ``n``, each reduced to
+    accumulators in its worker, and merge those in shard order, so the
+    result does not depend on ``threads``.
 
-    ``draw(stream, size)`` returns a list of samples; the result holds one
-    merged :class:`estimate.UpperAccumulator` per entry of that list.
+    ``draw(stream, size)`` returns a list of
+    :class:`estimate.UpperAccumulator`; the result holds one merged
+    accumulator per entry of that list.
     """
     def one(job):
         shard, size = job
-        return [estimate.UpperAccumulator.of(sample) for sample in
-                draw(substream(seed, "main", n, shard), size)]
+        return draw(substream(seed, "main", n, shard), size)
 
     jobs = list(enumerate(chunk_sizes(reps)))
     if threads > 1 and len(jobs) > 1:
@@ -321,10 +322,9 @@ def _rows(config, n, reps, wall_time_ms, values, standard_error=0.0,
 # Rate-experiment families.  ``point(config, dist, n)`` builds the model
 # at ``n`` and returns it with any ``(estimator, estimate)`` pairs reported
 # next to its ``fisher_upper`` row.  ``draw(models, stream, size)`` draws one
-# shard for a group of models and returns one sample per model.  A nested
-# family draws the whole grid as one group, keyed by its largest n; the
-# others draw each n as a group of one.  Draw functions are looked up on
-# their modules at call time.
+# shard of the largest model, reads it out at every model and returns one
+# accumulator per model.  Draw functions are looked up on their modules at
+# call time.
 
 def _samplemean_point(config, dist, n):
     model = samplemean.sample_mean_model(
@@ -338,8 +338,9 @@ def _samplemean_point(config, dist, n):
 def _samplemean_draw(models, stream, size):
     # F depends on its first n coordinates only through their running sums,
     # so one draw of the largest model is read out at every n.
-    return samplemean.draw_score_pairs_sm(models[-1], stream, size,
-                                          readouts=models)
+    return [estimate.UpperAccumulator.of(sample) for sample in
+            samplemean.draw_score_pairs_sm(models[-1], stream, size,
+                                           readouts=models)]
 
 
 def _quadform_point(config, dist, n):
@@ -356,30 +357,34 @@ def _quadform_point(config, dist, n):
 
 
 def _quadform_draw(models, stream, size):
-    return [quadform.draw_score_pairs(model, stream, size) for model in models]
+    # Each banded matrix is a multiple of the next one's leading block, so
+    # one draw of the largest model is read out at every n, recomputing
+    # only the rows next to each cut.
+    return quadform.draw_score_pairs(models[-1], stream, size,
+                                     readouts=models)
 
 
-def _run_rate(config: ExperimentConfig, point, draw, nested: bool):
+def _run_rate(config: ExperimentConfig, point, draw):
     """``fisher_upper`` per grid point, then a rate fit when four or more
     of them are positive.
 
-    Every model is built first.  A point's time is its model's build time,
-    plus, at the largest n of a draw group, the group's draw time.
+    Every model is built first; then one draw, keyed by the largest n,
+    serves the whole grid.  A point's time is its model's build time, plus,
+    at the largest n, the draw time.
     """
     threads = _shard_threads()
     dist = catalog_get(config.dist)
     grid = config.n_grid
-    models, extras, seconds, uppers = {}, {}, {}, {}
+    models, extras, seconds = {}, {}, {}
     for n in grid:
         t0 = time.monotonic()
         models[n], extras[n] = point(config, dist, n)
         seconds[n] = time.monotonic() - t0
-    for group in ([grid] if nested else [(n,) for n in grid]):
-        t0 = time.monotonic()
-        accs = _run_shards(functools.partial(draw, [models[n] for n in group]),
-                           config.seed, group[-1], config.reps, threads)
-        uppers.update(zip(group, (acc.finish() for acc in accs)))
-        seconds[group[-1]] += time.monotonic() - t0
+    t0 = time.monotonic()
+    accs = _run_shards(functools.partial(draw, [models[n] for n in grid]),
+                       config.seed, grid[-1], config.reps, threads)
+    uppers = {n: acc.finish() for n, acc in zip(grid, accs)}
+    seconds[grid[-1]] += time.monotonic() - t0
     rows = []
     for n in grid:
         ms = int(round(seconds[n] * 1000.0))
@@ -440,12 +445,11 @@ def _run_convert(config: ExperimentConfig):
 
 _RUNNERS = {
     "sum_rate": lambda config: _run_rate(replace(config, link="identity"),
-                                         _samplemean_point, _samplemean_draw,
-                                         nested=True),
+                                         _samplemean_point, _samplemean_draw),
     "samplemean_rate": lambda config: _run_rate(
-        config, _samplemean_point, _samplemean_draw, nested=True),
+        config, _samplemean_point, _samplemean_draw),
     "quadform_rate": lambda config: _run_rate(
-        config, _quadform_point, _quadform_draw, nested=False),
+        config, _quadform_point, _quadform_draw),
     "kernel_check": _run_kernel_check,
     "negmoment": _run_negmoment,
     "convert": _run_convert,

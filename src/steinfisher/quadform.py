@@ -9,6 +9,7 @@ bounds, and the exact Gaussian negative-moment norm.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -18,7 +19,7 @@ from . import moments
 from .distributions import chunk_sizes, kernel_columns, sample_columns
 from .errors import (ContractViolation, DegenerateModel, InvalidInput,
                      NotIntegrable)
-from .estimate import ScoreSample
+from .estimate import ScoreSample, UpperAccumulator
 
 
 class CoefficientMatrix:
@@ -121,37 +122,137 @@ class QuadFormModel:
     def n(self) -> int:
         return self.matrix.n
 
-    def evaluate(self, x: np.ndarray) -> ScoreSample:
+    def evaluate(self, x: np.ndarray, readouts=None):
         """Score-pair arrays for a block of draws ``x`` of shape (m, n).
+
+        With ``readouts``, models whose laws are the first ``r.n`` of this
+        model's and whose matrices are positive multiples of the leading
+        ``r.n`` x ``r.n`` block of its matrix, the result is a list with one
+        sample per readout, each of the draws' first ``r.n`` coordinates.
+        One pass over ``x`` serves them all: see :func:`_readout_plan`.
 
         The draws are taken :func:`_block_draws` at a time, so beyond ``x``
         and the length-m results the working set does not grow with m.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        a = self.matrix.entries
+        plan = _readout_plan(self, (self,) if readouts is None
+                             else tuple(readouts))
         m, n = x.shape
         s = max(1, min(m, _block_draws(n)))
         # Coordinate-major throughout: rows of ``xt`` are coordinates, and
         # A symmetric makes ``a @ xt`` the transpose of ``x @ a``.
         xt = x.T
-        f, theta, theta_theta_f = np.empty((3, m))
+        sums = np.empty((3, len(plan.sigma2), m))
         for j in range(0, m, s):
-            xs = xt[:, j:j + s]
+            xs = xt[plan.rows, j:j + s]
             draws = slice(j, j + xs.shape[1])
-            r = a @ xs
-            f[draws] = (xs * r).sum(axis=0)
-            tau, taup = kernel_columns(self.dists, xs)
-            r2 = r * r
+            r = plan.expand @ xs[:n]
+            tau, taup = kernel_columns(plan.dists, xs)
             tau_r = tau * r
-            theta[draws] = (r2 * tau).sum(axis=0)
             # grad Theta = A (tau r) + (tau' / 2) r^2, and
-            # L_k F = tau_k r_k / 2
-            theta_theta_f[draws] = (
-                (a @ tau_r + 0.5 * taup * r2) * tau_r).sum(axis=0)
-        f = 0.5 * f / self.sigma
-        theta = 0.5 * theta / self.sigma2
-        theta_theta_f = 0.5 * theta_theta_f / (self.sigma2 * self.sigma)
-        return ScoreSample.represent(f, f, theta, theta_theta_f)
+            # L_k F = tau_k r_k / 2.  Each per-row term is summed over
+            # every readout's rows by one product; temporaries are reused
+            # in place or dropped, so a sub-block holds few at once.
+            sums[0, :, draws] = plan.prefix @ (xs * r)
+            r *= r
+            sums[1, :, draws] = plan.prefix @ np.multiply(tau, r, out=tau)
+            taup *= 0.5
+            taup *= r
+            del xs, r, tau
+            grad = plan.cross @ tau_r
+            grad += taup
+            grad *= tau_r
+            sums[2, :, draws] = plan.prefix @ grad
+        f, theta, theta_theta_f = sums
+        sigma2 = plan.sigma2
+        sigma = np.sqrt(sigma2)
+        f = 0.5 * f / sigma
+        theta = 0.5 * theta / sigma2
+        theta_theta_f = 0.5 * theta_theta_f / (sigma2 * sigma)
+        samples = [ScoreSample.represent(fk, fk, tk, ck)
+                   for fk, tk, ck in zip(f, theta, theta_theta_f)]
+        return samples[0] if readouts is None else samples
+
+
+@dataclass(frozen=True)
+class _ReadoutPlan:
+    """How one pass over a model's draws yields every readout's sums.
+
+    The pass works on E extended rows: the model's n coordinates, then
+    each readout's recomputed rows.  ``rows`` picks the extended rows'
+    coordinates from a draw block (a slice when there are none beyond n)
+    and ``dists`` gives their laws.  ``expand`` (E, n) gives each extended
+    row's ``r = A x``, over its readout's leading block for a recomputed
+    row, and ``cross`` (E, E) its ``A (tau r)`` from the extended
+    ``tau r``.  Row ``k`` of the 0/1 ``prefix`` (K, E) sums readout ``k``'s
+    rows: the model's rows below the readout's cut and its own recomputed
+    rows.  ``sigma2`` (K, 1) holds each readout's sigma^2 on the model's
+    scale.  Plans are shared between calls, so their arrays are read only.
+    """
+
+    rows: object
+    dists: tuple
+    expand: np.ndarray
+    cross: np.ndarray
+    prefix: np.ndarray
+    sigma2: np.ndarray
+
+
+@functools.lru_cache(maxsize=8)
+def _readout_plan(model: QuadFormModel, readouts: tuple) -> _ReadoutPlan:
+    """The plan of :meth:`QuadFormModel.evaluate` for ``readouts``, kept for
+    the next block of the same draw.
+
+    Row i's terms at a readout of size r.n are the model's wherever its
+    ``r_i`` and ``(A (tau r))_i`` read no column at or beyond r.n: below
+    the readout's cut, the first row that does.  The rows from the cut to
+    r.n are recomputed on the leading block; for bandwidth b that is the
+    last 2b rows.  Every readout is normalized by the sigma of the model's
+    leading block, which is proportional to its own matrix, and the terms
+    are scale free.
+    """
+    a = model.matrix.entries
+    n = model.n
+    nz = a != 0.0
+    # reach[i]: the last column r_i reads; reach2[i]: the last one
+    # (A (tau r))_i reads, directly or through the r_j it reads
+    reach = np.where(nz.any(axis=1), n - 1 - np.argmax(nz[:, ::-1], axis=1), -1)
+    reach2 = np.maximum(reach, np.where(nz, reach, -1).max(axis=1))
+    spans, sigma2 = [], []
+    for r in readouts:
+        if r.dists != model.dists[:r.n]:
+            raise InvalidInput("a readout's laws must be the first of the model's")
+        lead, own = a[:r.n, :r.n], r.matrix.entries
+        top = np.abs(lead).max()
+        if not (top > 0.0 and np.abs(own - np.abs(own).max() / top * lead).max()
+                <= 1e-12 * np.abs(own).max()):
+            raise InvalidInput("a readout's matrix must be a positive multiple "
+                               "of the model's leading block")
+        late = np.flatnonzero(reach2[:r.n] >= r.n)
+        spans.append((late[0] if late.size else r.n, r.n))
+        sigma2.append((lead ** 2).sum() / 2.0)
+    recomputed = [i for cut, size in spans for i in range(cut, size)]
+    e = n + len(recomputed)
+    expand = np.zeros((e, n))
+    cross = np.zeros((e, e))
+    prefix = np.zeros((len(spans), e))
+    expand[:n] = cross[:n, :n] = a
+    row = n
+    for k, (cut, size) in enumerate(spans):
+        own = slice(row, row + size - cut)
+        expand[own, :size] = a[cut:size, :size]
+        cross[own, :cut] = a[cut:size, :cut]
+        cross[own, own] = a[cut:size, cut:size]
+        prefix[k, :cut] = prefix[k, own] = 1.0
+        row = own.stop
+    plan = _ReadoutPlan(
+        rows=np.r_[:n, recomputed] if recomputed else slice(None),
+        dists=model.dists + tuple(model.dists[i] for i in recomputed),
+        expand=expand, cross=cross, prefix=prefix,
+        sigma2=np.array(sigma2)[:, None])
+    for array in (expand, cross, prefix, plan.sigma2):
+        array.setflags(write=False)
+    return plan
 
 
 def _draw_block(n: int) -> int:
@@ -161,12 +262,23 @@ def _draw_block(n: int) -> int:
     return 8 * _block_draws(n)
 
 
-def draw_score_pairs(model: QuadFormModel, stream, reps: int) -> ScoreSample:
+def draw_score_pairs(model: QuadFormModel, stream, reps: int, readouts=None):
     """``reps`` score pairs drawn from one stream in :func:`_draw_block`
-    blocks, each evaluated as it is drawn."""
-    blocks = [model.evaluate(sample_columns(model.dists, stream, m))
-              for m in chunk_sizes(reps, _draw_block(model.n))]
-    return ScoreSample.concat(blocks)
+    blocks, each evaluated as it is drawn.
+
+    With ``readouts`` (see :meth:`QuadFormModel.evaluate`) the draw is
+    nested: each block of ``model.n`` coordinates is read out at every
+    readout and reduced to one :class:`UpperAccumulator` per readout, and
+    those merge in block order, so no sample outlives its block.  The
+    result is then a list with one accumulator per readout.
+    """
+    blocks = (model.evaluate(sample_columns(model.dists, stream, m), readouts)
+              for m in chunk_sizes(reps, _draw_block(model.n)))
+    if readouts is None:
+        return ScoreSample.concat(list(blocks))
+    return functools.reduce(
+        lambda accs, block: [acc.merge(b) for acc, b in zip(accs, block)],
+        ([UpperAccumulator.of(s) for s in samples] for samples in blocks))
 
 
 def _check_order(order: float) -> None:

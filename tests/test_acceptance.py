@@ -19,6 +19,7 @@ check the rate that bound takes for their inputs, not a bare 1/n:
 import math
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -295,5 +296,5 @@ def test_criterion_12_determinism(tmp_path):
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         run(ExperimentConfig(out_path=p1, **base))
         run(ExperimentConfig(out_path=p2, **base))
-        b1, b2 = open(p1, "rb").read(), open(p2, "rb").read()
+        b1, b2 = Path(p1).read_bytes(), Path(p2).read_bytes()
         assert b1 == b2 and len(b1) > 0

@@ -13,6 +13,7 @@ from steinfisher.estimate import (ScoreSample, fisher_distance_upper, fit_rate,
                                   fit_score)
 from steinfisher.moments import NegMomentQuery, NonnegativeLaw
 from steinfisher.quadform import (CoefficientMatrix, QuadFormModel,
+                                  banded_coefficients,
                                   gaussian_negative_moment_norm,
                                   gaussian_negative_moment_norm_mc)
 from steinfisher.quadrature import integrate
@@ -24,6 +25,13 @@ from steinfisher.streams import substream
 GAUSSIAN = catalog_get("gaussian")
 PAIR = CoefficientMatrix([[0.0, 1.0], [1.0, 0.0]])
 ONE = NonnegativeLaw.constant(1.0).mgf
+
+
+def _quadform_readout(matrix, law=GAUSSIAN):
+    """Reads a banded n = 4 model's draws out at a 3-coordinate model."""
+    model = QuadFormModel(banded_coefficients(4), [GAUSSIAN] * 4)
+    readout = QuadFormModel(matrix, [law] * 3)
+    return lambda: model.evaluate(np.ones((1, 4)), readouts=[readout])
 
 
 def _norm_mc(order):
@@ -64,6 +72,13 @@ PRECONDITIONS = [
         sample_mean_model(identity_link(), [GAUSSIAN] * 4), substream(8), 10,
         readouts=[sample_mean_model(identity_link(), [catalog_get("uniform")])]),
                  InvalidInput, "first of the model", id="readout-laws"),
+    pytest.param(_quadform_readout(banded_coefficients(3), catalog_get("uniform")),
+                 InvalidInput, "first of the model", id="quadform-readout-laws"),
+    pytest.param(_quadform_readout(banded_coefficients(3, 2)),
+                 InvalidInput, "positive multiple", id="quadform-readout-matrix"),
+    pytest.param(_quadform_readout(CoefficientMatrix(
+        -banded_coefficients(3).entries)),
+                 InvalidInput, "positive multiple", id="quadform-readout-sign"),
     # sample_mean_model scales a link to |H'(0)| near 1 first; pre_pass alone
     # does not, and the moments of this one overflow
     pytest.param(lambda: pre_pass(affine_sin_link(1e300, 0.0), [GAUSSIAN] * 4,

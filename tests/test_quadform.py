@@ -209,6 +209,28 @@ def test_draw_score_pairs_replays_draw_blocks(n):
     assert (sizes[0] >= CHUNK) == (n <= 16)
 
 
+@pytest.mark.parametrize("laws", ["uniform", "exponential_centered", "mixed"])
+@pytest.mark.parametrize("bandwidth", [1, 2])
+def test_readouts_match_the_prefix_blocks(laws, bandwidth):
+    # One pass over n_max = 64 coordinates, read out at every n, against
+    # each n's own model on the first n columns.  The block ends in a short
+    # sub-block; at n = 2, and at n = 3 for bandwidth 2, every row is
+    # recomputed.
+    dists = (mixed_laws(64) if laws == "mixed"
+             else [catalog_get(laws)] * 64)
+    models = [QuadFormModel(banded_coefficients(n, bandwidth), dists[:n])
+              for n in (2, 3, 8, 37, 64)]
+    x = sample_columns(dists, substream(96, "readout", laws, bandwidth),
+                       2 * _block_draws(64) + 77)
+    for model, got in zip(models, models[-1].evaluate(x, models)):
+        want = model.evaluate(x[:, :model.n])
+        assert np.array_equal(got.guarded, want.guarded)
+        keep = ~want.guarded
+        for u, v in ((got.f, want.f), (got.h, want.h), (got.aux, want.aux)):
+            assert np.max(np.abs(u[keep] - v[keep])) <= 1e-12 * np.max(
+                np.abs(v[keep]))
+
+
 def test_theta_nonnegative_and_lower_bound():
     # tau >= tau0 > 0 holds for gaussian (tau0 = 1) and student (18/19)
     for name, tau0 in (("gaussian", 1.0), ("student_t(20)", 18.0 / 19.0)):
