@@ -14,12 +14,10 @@ as text and converted by one table.  Example::
 
 The three rate experiments share one runner: a model is built at each
 ``n``, and draws come in shards of ``distributions.CHUNK`` pairs, each on
-its own substream.  A shard draws the largest ``n``'s coordinates once,
-keyed by that ``n``, and reads every grid point off the first ``n`` of
-them: a sample-mean point finishes the running sums at its ``n``, and a
-quadratic-form point sums the per-coordinate terms below its ``n`` and
-recomputes the few next to it.  Each shard is reduced in its worker to one
-accumulator per grid point, and the accumulators merge in shard order.
+its own substream.  A shard is the family's draw of the largest ``n``'s
+model, keyed by that ``n``, read out at every grid point's model (the
+first ``n`` coordinates): it returns one accumulator per grid point, and
+the accumulators merge in shard order.
 ``sum_rate`` is the identity-link sample-mean model (the normalized sum),
 ``samplemean_rate`` takes its link from the config, and ``quadform_rate``
 uses the banded family or a matrix file, whose grid is its one ``n``.
@@ -51,7 +49,6 @@ guard-dominated draws, or a quadrature that missed its tolerance.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import os
@@ -286,9 +283,8 @@ def _run_shards(draw, seed: int, n: int, reps: int, threads: int) -> list:
     accumulators in its worker, and merge those in shard order, so the
     result does not depend on ``threads``.
 
-    ``draw(stream, size)`` returns a list of
-    :class:`estimate.UpperAccumulator`; the result holds one merged
-    accumulator per entry of that list.
+    ``draw(stream, size)`` returns one :class:`estimate.UpperAccumulator`
+    per readout; so does the result.
     """
     def one(job):
         shard, size = job
@@ -297,11 +293,8 @@ def _run_shards(draw, seed: int, n: int, reps: int, threads: int) -> list:
     jobs = list(enumerate(chunk_sizes(reps)))
     if threads > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            shards = list(pool.map(one, jobs))
-    else:
-        shards = [one(job) for job in jobs]
-    return [functools.reduce(estimate.UpperAccumulator.merge, accs)
-            for accs in zip(*shards)]
+            return estimate.merge_in_order(pool.map(one, jobs))
+    return estimate.merge_in_order(map(one, jobs))
 
 
 def _ms_since(t0: float) -> int:
@@ -321,10 +314,7 @@ def _rows(config, n, reps, wall_time_ms, values, standard_error=0.0,
 
 # Rate-experiment families.  ``point(config, dist, n)`` builds the model
 # at ``n`` and returns it with any ``(estimator, estimate)`` pairs reported
-# next to its ``fisher_upper`` row.  ``draw(models, stream, size)`` draws one
-# shard of the largest model, reads it out at every model and returns one
-# accumulator per model.  Draw functions are looked up on their modules at
-# call time.
+# next to its ``fisher_upper`` row.
 
 def _samplemean_point(config, dist, n):
     model = samplemean.sample_mean_model(
@@ -333,14 +323,6 @@ def _samplemean_point(config, dist, n):
         prepass_reps=max(10 ** 4, config.reps),
     )
     return model, []
-
-
-def _samplemean_draw(models, stream, size):
-    # F depends on its first n coordinates only through their running sums,
-    # so one draw of the largest model is read out at every n.
-    return [estimate.UpperAccumulator.of(sample) for sample in
-            samplemean.draw_score_pairs_sm(models[-1], stream, size,
-                                           readouts=models)]
 
 
 def _quadform_point(config, dist, n):
@@ -356,21 +338,13 @@ def _quadform_point(config, dist, n):
     return model, [("structural_factor", factor)]
 
 
-def _quadform_draw(models, stream, size):
-    # Each banded matrix is a multiple of the next one's leading block, so
-    # one draw of the largest model is read out at every n, recomputing
-    # only the rows next to each cut.
-    return quadform.draw_score_pairs(models[-1], stream, size,
-                                     readouts=models)
-
-
 def _run_rate(config: ExperimentConfig, point, draw):
     """``fisher_upper`` per grid point, then a rate fit when four or more
     of them are positive.
 
-    Every model is built first; then one draw, keyed by the largest n,
-    serves the whole grid.  A point's time is its model's build time, plus,
-    at the largest n, the draw time.
+    Every model is built first; then one draw of the largest, keyed by its
+    n, is read out at them all.  A point's time is its model's build time,
+    plus, at the largest n, the draw time.
     """
     threads = _shard_threads()
     dist = catalog_get(config.dist)
@@ -381,7 +355,9 @@ def _run_rate(config: ExperimentConfig, point, draw):
         models[n], extras[n] = point(config, dist, n)
         seconds[n] = time.monotonic() - t0
     t0 = time.monotonic()
-    accs = _run_shards(functools.partial(draw, [models[n] for n in grid]),
+    readouts = list(models.values())
+    accs = _run_shards(lambda stream, size: draw(readouts[-1], stream, size,
+                                                 readouts=readouts),
                        config.seed, grid[-1], config.reps, threads)
     uppers = {n: acc.finish() for n, acc in zip(grid, accs)}
     seconds[grid[-1]] += time.monotonic() - t0
@@ -443,13 +419,16 @@ def _run_convert(config: ExperimentConfig):
         ("fisher", "uniform_density", "kl", "wasserstein2", "total_variation")])
 
 
+# The draws are looked up on their modules when a runner runs, so a wrapper
+# installed on a module binding is the one called.
 _RUNNERS = {
-    "sum_rate": lambda config: _run_rate(replace(config, link="identity"),
-                                         _samplemean_point, _samplemean_draw),
+    "sum_rate": lambda config: _run_rate(
+        replace(config, link="identity"), _samplemean_point,
+        samplemean.draw_score_pairs_sm),
     "samplemean_rate": lambda config: _run_rate(
-        config, _samplemean_point, _samplemean_draw),
+        config, _samplemean_point, samplemean.draw_score_pairs_sm),
     "quadform_rate": lambda config: _run_rate(
-        config, _quadform_point, _quadform_draw),
+        config, _quadform_point, quadform.draw_score_pairs),
     "kernel_check": _run_kernel_check,
     "negmoment": _run_negmoment,
     "convert": _run_convert,

@@ -66,11 +66,15 @@ def kolmogorov_empirical(f_samples) -> float:
     The sorted draws are walked in ``CHUNK``-sized slices, keeping each
     slice's two one-sided maxima, so no temporary spans all the draws
     but the sort; the result is the whole-array formula's, to the bit.
+    Non-finite draws are refused.
     """
     x = np.sort(np.asarray(f_samples, dtype=float))
     n = x.size
     if n < 10 ** 4:
         raise InsufficientData(f"need at least 1e4 samples, have {n}")
+    # sorted, so -inf comes first and inf, then nan, last
+    if not (math.isfinite(x[0]) and math.isfinite(x[-1])):
+        raise InvalidInput("the Kolmogorov distance needs finite draws")
     peaks = []
     for start in range(0, n, CHUNK):
         cdf = ndtr(x[start:start + CHUNK])

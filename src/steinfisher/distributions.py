@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import MomentConditionViolated, NotInCatalog
+from .errors import InvalidInput, MomentConditionViolated, NotInCatalog
 
 CHUNK = 16384  # draws per block in every chunked draw loop
 DENSITY_FLOOR = 1e-16  # quad_window ends where the density falls to this
@@ -349,6 +349,8 @@ def chunk_sizes(reps: int, size: int = CHUNK) -> list:
     stream order, and with it each draw, is fixed by ``(reps, size)``.
     """
     reps = int(reps)
+    if reps < 1:
+        raise InvalidInput(f"need at least one draw, got reps = {reps}")
     sizes = [size] * (reps // size)
     if reps % size:
         sizes.append(reps % size)

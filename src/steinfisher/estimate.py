@@ -5,10 +5,12 @@ representation integrand ``H`` whose conditional expectation given ``F``
 is minus the score of ``F``.  From a sample we estimate the squared-difference
 upper bound, a binned nonparametric score, the plug-in Fisher information
 distance, the indicator-weighted density, and log-log convergence rates.
+Both model families draw by one contract: :func:`reduce_draw`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -162,6 +164,33 @@ class UpperAccumulator:
         n = self.draws - self.guarded
         return (self.mean, math.sqrt(self.m2 / (n - 1)) / math.sqrt(n),
                 self.guarded / self.draws)
+
+
+def readout_models(model, readouts) -> tuple:
+    """``(model,)`` when ``readouts`` is None, else the readouts, whose laws
+    must be the first ``r.n`` of the model's."""
+    models = (model,) if readouts is None else tuple(readouts)
+    if any(r.dists != model.dists[:r.n] for r in models):
+        raise InvalidInput("a readout's laws must be the first of the model's")
+    return models
+
+
+def merge_in_order(parts):
+    """One :class:`UpperAccumulator` per readout from ``parts``, each a list
+    with one per readout, merged in the parts' order."""
+    return functools.reduce(
+        lambda accs, part: [a.merge(b) for a, b in zip(accs, part)], parts)
+
+
+def reduce_draw(blocks, readouts=None):
+    """A draw's ``blocks``, each a model's ``evaluate`` at ``readouts``: the
+    sample of all the draws when ``readouts`` is None, else one
+    :class:`UpperAccumulator` per readout, each block reduced as it arrives
+    and merged in order, so no sample outlives its block."""
+    if readouts is None:
+        return ScoreSample.concat(list(blocks))
+    return merge_in_order([UpperAccumulator.of(s) for s in samples]
+                          for samples in blocks)
 
 
 def fisher_distance_upper(sample):

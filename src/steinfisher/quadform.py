@@ -19,7 +19,7 @@ from . import moments
 from .distributions import chunk_sizes, kernel_columns, sample_columns
 from .errors import (ContractViolation, DegenerateModel, InvalidInput,
                      NotIntegrable)
-from .estimate import ScoreSample, UpperAccumulator
+from .estimate import ScoreSample, readout_models, reduce_draw
 
 
 class CoefficientMatrix:
@@ -135,8 +135,7 @@ class QuadFormModel:
         and the length-m results the working set does not grow with m.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        plan = _readout_plan(self, (self,) if readouts is None
-                             else tuple(readouts))
+        plan = _readout_plan(self, readout_models(self, readouts))
         m, n = x.shape
         s = max(1, min(m, _block_draws(n)))
         # Coordinate-major throughout: rows of ``xt`` are coordinates, and
@@ -220,8 +219,6 @@ def _readout_plan(model: QuadFormModel, readouts: tuple) -> _ReadoutPlan:
     reach2 = np.maximum(reach, np.where(nz, reach, -1).max(axis=1))
     spans, sigma2 = [], []
     for r in readouts:
-        if r.dists != model.dists[:r.n]:
-            raise InvalidInput("a readout's laws must be the first of the model's")
         lead, own = a[:r.n, :r.n], r.matrix.entries
         top = np.abs(lead).max()
         if not (top > 0.0 and np.abs(own - np.abs(own).max() / top * lead).max()
@@ -267,18 +264,12 @@ def draw_score_pairs(model: QuadFormModel, stream, reps: int, readouts=None):
     blocks, each evaluated as it is drawn.
 
     With ``readouts`` (see :meth:`QuadFormModel.evaluate`) the draw is
-    nested: each block of ``model.n`` coordinates is read out at every
-    readout and reduced to one :class:`UpperAccumulator` per readout, and
-    those merge in block order, so no sample outlives its block.  The
-    result is then a list with one accumulator per readout.
+    nested, and the result is one accumulator per readout: see
+    :func:`estimate.reduce_draw`.
     """
     blocks = (model.evaluate(sample_columns(model.dists, stream, m), readouts)
               for m in chunk_sizes(reps, _draw_block(model.n)))
-    if readouts is None:
-        return ScoreSample.concat(list(blocks))
-    return functools.reduce(
-        lambda accs, block: [acc.merge(b) for acc, b in zip(accs, block)],
-        ([UpperAccumulator.of(s) for s in samples] for samples in blocks))
+    return reduce_draw(blocks, readouts)
 
 
 def _check_order(order: float) -> None:

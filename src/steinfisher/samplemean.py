@@ -19,7 +19,7 @@ import numpy as np
 # bench/tracing.py wraps the ``sample_columns`` binding; no draw here calls it.
 from .distributions import chunk_sizes, sample_columns
 from .errors import DegenerateVariance, InvalidInput
-from .estimate import ScoreSample
+from .estimate import ScoreSample, readout_models, reduce_draw
 
 
 @dataclass(frozen=True)
@@ -144,16 +144,23 @@ class SampleMeanModel:
     def n(self) -> int:
         return len(self.dists)
 
-    def evaluate(self, x: np.ndarray) -> ScoreSample:
-        """Score-pair arrays for a block of draws ``x`` of shape (m, n)."""
-        return self.reduce_columns(x.T)
+    def evaluate(self, x: np.ndarray, readouts=None):
+        """Score-pair arrays for a block of draws ``x`` of shape (m, n), at
+        ``readouts`` as in :meth:`reduce_columns`."""
+        return self.reduce_columns(x.T, readouts)
 
-    def reduce_columns(self, columns) -> ScoreSample:
-        """Score-pair arrays from the draws' coordinate columns: the last
-        running sums of :func:`fold_columns`, finished."""
-        for sums in fold_columns(self.dists, columns):
-            pass
-        return self.finish(*sums)
+    def reduce_columns(self, columns, readouts=None):
+        """Score-pair arrays from the draws' coordinate columns: the running
+        sums of :func:`fold_columns` finished at ``n``.  With ``readouts``,
+        models whose laws are the first ``r.n`` of this model's, a list with
+        one sample per readout, finished at its own ``n``."""
+        models = readout_models(self, readouts)
+        samples = [None] * len(models)
+        for k, sums in enumerate(fold_columns(self.dists, columns), start=1):
+            for i, r in enumerate(models):
+                if r.n == k:
+                    samples[i] = r.finish(*sums)
+        return samples[0] if readouts is None else samples
 
     def finish(self, x_sum, tau_sum, tt_sum) -> ScoreSample:
         """Score-pair arrays from the sums of :func:`fold_columns` over this
@@ -259,28 +266,14 @@ def fold_columns(dists, columns):
 
 def draw_score_pairs_sm(model: SampleMeanModel, stream, reps: int,
                         readouts=None):
-    """``reps`` score pairs drawn in fixed-size chunks from one stream.
-
-    With ``readouts``, models whose laws are the first ``r.n`` of
-    ``model``'s, the draw is nested: each chunk draws ``model.n`` columns
-    once, and each readout finishes the running sums at its own ``n``.  The
-    result is then a list with one sample per readout.  Within one chunk
-    (``reps <= CHUNK``) readout ``r``'s draws are the first ``r.n`` columns,
-    so its sample is, to the bit, ``draw_score_pairs_sm(r, stream, reps)``
-    on the same stream.
-    """
-    models = (model,) if readouts is None else tuple(readouts)
-    if any(r.dists != model.dists[:r.n] for r in models):
-        raise InvalidInput("a readout's laws must be the first of the model's")
-    blocks = [[] for _ in models]
-    for m in chunk_sizes(reps):
-        columns = (dist.sampler(stream, m) for dist in model.dists)
-        for k, sums in enumerate(fold_columns(model.dists, columns), start=1):
-            for r, out in zip(models, blocks):
-                if r.n == k:
-                    out.append(r.finish(*sums))
-    samples = [ScoreSample.concat(out) for out in blocks]
-    return samples[0] if readouts is None else samples
+    """``reps`` score pairs drawn in fixed-size chunks from one stream, each
+    chunk's columns read out at ``readouts`` as they are drawn and reduced by
+    :func:`estimate.reduce_draw`.  Within one chunk, readout ``r``'s
+    accumulator is, to the bit, that of ``draw_score_pairs_sm(r, ...)``."""
+    blocks = (model.reduce_columns((dist.sampler(stream, m)
+                                    for dist in model.dists), readouts)
+              for m in chunk_sizes(reps))
+    return reduce_draw(blocks, readouts)
 
 
 def linear_sum_pairs(dists, n: int, stream, reps: int):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from steinfisher.distributions import catalog_get
+from steinfisher.distributions import CHUNK, catalog_get
 from steinfisher.errors import (GuardDominated, InsufficientData, InvalidInput)
 from steinfisher.estimate import (GUARD, MIN_BIN_COUNT, BinConfig,
                                   ScoreSample,
@@ -14,7 +14,9 @@ from steinfisher.estimate import (GUARD, MIN_BIN_COUNT, BinConfig,
                                   fisher_distance_plugin,
                                   UpperAccumulator, fisher_distance_upper,
                                   fit_rate, fit_score, plugin_split)
-from steinfisher.quadform import CoefficientMatrix, QuadFormModel
+from steinfisher.quadform import (CoefficientMatrix, QuadFormModel,
+                                  _draw_block, banded_coefficients,
+                                  draw_score_pairs)
 from steinfisher.samplemean import (identity_link, draw_score_pairs_sm,
                                     linear_sum_pairs, sample_mean_model)
 from steinfisher.streams import substream
@@ -143,6 +145,31 @@ def test_merged_accumulators_match_two_pass_over_the_whole_sample():
     assert fisher_distance_upper(whole)[:2] == (
         float(values.mean()),
         float(values.std(ddof=1) / math.sqrt(values.size)))
+
+
+@pytest.mark.parametrize("family", ["samplemean", "quadform"])
+def test_one_readout_reduces_the_plain_draw(family):
+    # A draw read out at its own model is the plain draw's accumulator:
+    # to the bit over one block, and merged in order over several.
+    law, n = catalog_get("exponential_centered"), 24
+    if family == "samplemean":
+        model = sample_mean_model(identity_link(), [law] * n, n)
+        draw, block = draw_score_pairs_sm, CHUNK
+    else:
+        model = QuadFormModel(banded_coefficients(n), [law] * n)
+        draw, block = draw_score_pairs, _draw_block(n)
+    for reps in (block, 3 * block + 777):
+        [got] = draw(model, substream(12, "one", family, reps), reps,
+                     readouts=[model])
+        want = UpperAccumulator.of(draw(model,
+                                        substream(12, "one", family, reps),
+                                        reps))
+        if reps == block:
+            assert got == want
+        else:
+            assert (got.draws, got.guarded) == (want.draws, want.guarded)
+            assert got.mean == pytest.approx(want.mean, rel=1e-12)
+            assert got.m2 == pytest.approx(want.m2, rel=1e-12)
 
 
 def test_draw_counts_are_checked_once_merged():

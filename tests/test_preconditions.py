@@ -6,20 +6,22 @@ import math
 import numpy as np
 import pytest
 
-from steinfisher.distributions import catalog_get
+from steinfisher.distances import kolmogorov_empirical
+from steinfisher.distributions import catalog_get, chunk_sizes
 from steinfisher.errors import (DegenerateVariance, InsufficientData,
                                 InvalidInput, NotIntegrable, QuadratureFailure)
 from steinfisher.estimate import (ScoreSample, fisher_distance_upper, fit_rate,
                                   fit_score)
 from steinfisher.moments import NegMomentQuery, NonnegativeLaw
 from steinfisher.quadform import (CoefficientMatrix, QuadFormModel,
-                                  banded_coefficients,
+                                  banded_coefficients, draw_score_pairs,
                                   gaussian_negative_moment_norm,
                                   gaussian_negative_moment_norm_mc)
 from steinfisher.quadrature import integrate
 from steinfisher.samplemean import (SmoothLink, affine_sin_link,
-                                    draw_score_pairs_sm, identity_link, pre_pass, sample_mean_model,
-                                    sin_link)
+                                    draw_score_pairs_sm, identity_link,
+                                    linear_sum_pairs, pre_pass,
+                                    sample_mean_model, sin_link)
 from steinfisher.streams import substream
 
 GAUSSIAN = catalog_get("gaussian")
@@ -37,6 +39,18 @@ def _quadform_readout(matrix, law=GAUSSIAN):
 def _norm_mc(order):
     return lambda: gaussian_negative_moment_norm_mc(PAIR, order, substream(5),
                                                     1000)
+
+
+def _draw(reps, family="samplemean", readouts=False):
+    """A draw of ``reps`` score pairs from a four-coordinate model."""
+    if family == "samplemean":
+        model = sample_mean_model(identity_link(), [GAUSSIAN] * 4)
+        draw = draw_score_pairs_sm
+    else:
+        model = QuadFormModel(banded_coefficients(4), [GAUSSIAN] * 4)
+        draw = draw_score_pairs
+    kwargs = {"readouts": [model]} if readouts else {}
+    return lambda: draw(model, substream(9), reps, **kwargs)
 
 
 PRECONDITIONS = [
@@ -86,6 +100,8 @@ PRECONDITIONS = [
                  DegenerateVariance, "not finite", id="prepass-overflow"),
     pytest.param(lambda: substream(1, 1.5),
                  TypeError, "int or str", id="stream-path-float"),
+    pytest.param(lambda: kolmogorov_empirical(np.r_[np.zeros(19_999), np.nan]),
+                 InvalidInput, "finite draws", id="kolmogorov-nan-draw"),
 ]
 
 # Orders and values that once came back as a number, a nan or a numpy error.
@@ -103,6 +119,23 @@ BAD_VALUES = [
                  id="fit-rate-inf-error"),
     pytest.param(lambda: fit_rate([8, math.nan, 32, 64], [1.0, 0.5, 0.25, 0.1]),
                  id="fit-rate-nan-n"),
+    # every chunked draw splits its reps by chunk_sizes, which once gave a
+    # negative count a whole chunk and zero a numpy or Python error
+    pytest.param(lambda: chunk_sizes(-5), id="chunk-sizes-negative"),
+    pytest.param(_draw(-5), id="samplemean-draw-negative-reps"),
+    pytest.param(_draw(0), id="samplemean-draw-zero-reps"),
+    pytest.param(_draw(0, readouts=True), id="samplemean-readout-zero-reps"),
+    pytest.param(_draw(0, "quadform"), id="quadform-draw-zero-reps"),
+    pytest.param(_draw(0, "quadform", readouts=True),
+                 id="quadform-readout-zero-reps"),
+    pytest.param(lambda: linear_sum_pairs([GAUSSIAN] * 4, 4, substream(9), -3),
+                 id="linear-sum-negative-reps"),
+    pytest.param(lambda: gaussian_negative_moment_norm_mc(
+        banded_coefficients(40), 8.0, substream(5), -5),
+                 id="mc-norm-negative-reps"),
+    pytest.param(lambda: gaussian_negative_moment_norm_mc(
+        banded_coefficients(40), 8.0, substream(5), 0),
+                 id="mc-norm-zero-reps"),
 ]
 
 

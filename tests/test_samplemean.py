@@ -7,7 +7,8 @@ import pytest
 from steinfisher.distributions import (CHUNK, catalog_get, chunk_sizes,
                                        sample_columns)
 from steinfisher.errors import DegenerateVariance, InvalidInput
-from steinfisher.estimate import ScoreSample, fisher_distance_upper
+from steinfisher.estimate import (ScoreSample, UpperAccumulator,
+                                  fisher_distance_upper)
 from steinfisher.samplemean import (SampleMeanModel, affine_sin_link,
                                     draw_score_pairs_sm,
                                     identity_link, linear_sum_pairs,
@@ -234,29 +235,51 @@ def test_streamed_draw_matches_block_evaluate(link_fn):
     assert np.array_equal(streamed.guarded, block.guarded)
 
 
+def _grid_models(law, link_fn):
+    """A rate grid's models up to n = 40, each with its own pre-pass."""
+    dist = catalog_get(law)
+    return [sample_mean_model(link_fn(), [dist] * n, n,
+                              stream=substream(30, "prepass", n),
+                              prepass_reps=10 ** 4) for n in (1, 3, 8, 16, 40)]
+
+
 @pytest.mark.parametrize("law", ["uniform", "exponential_centered"])
 @pytest.mark.parametrize("link_fn", [identity_link, tanh_link])
-def test_nested_readout_replays_each_grid_point(law, link_fn):
+def test_readouts_match_the_prefix_columns(law, link_fn):
+    # F at n reads its first n coordinates only through their running sums,
+    # so one pass over n_max columns, finished at n, is n's own evaluation.
+    models = _grid_models(law, link_fn)
+    x = sample_columns(models[-1].dists, substream(30, "readout", law), 777)
+    readout = models[-1].evaluate(x, models)
+    assert len(readout) == len(models)
+    for model, got in zip(models, readout):
+        want = model.evaluate(x[:, :model.n])
+        assert np.array_equal(got.f, want.f)
+        assert np.array_equal(got.h, want.h, equal_nan=True)
+        assert np.array_equal(got.aux, want.aux)
+        assert np.array_equal(got.guarded, want.guarded)
+    # readouts come back in the order they are given
+    backwards = models[-1].evaluate(x, models[::-1])
+    assert all(np.array_equal(u.f, v.f)
+               for u, v in zip(backwards, readout[::-1]))
+
+
+@pytest.mark.parametrize("law", ["uniform", "exponential_centered"])
+@pytest.mark.parametrize("link_fn", [identity_link, tanh_link])
+def test_nested_draw_reduces_each_grid_point(law, link_fn):
     # One shard is at most one chunk, so the draws at n are the first n
-    # columns of the nested draw's n_max; each n finishes with its own
-    # model (its own pre-pass for tanh).
-    dist = catalog_get(law)
-    grid = (1, 3, 8, 16, 40)
-    models = [sample_mean_model(link_fn(), [dist] * n, n,
-                                stream=substream(30, "prepass", n),
-                                prepass_reps=10 ** 4) for n in grid]
+    # columns of the nested draw's n_max, and each accumulator is that of
+    # n's own draw from the same stream.
+    models = _grid_models(law, link_fn)
     for shard, size in enumerate((CHUNK, 777)):
         nested = draw_score_pairs_sm(models[-1],
                                      substream(30, "main", 40, shard), size,
                                      readouts=models)
-        assert len(nested) == len(grid)
+        assert len(nested) == len(models)
         for model, got in zip(models, nested):
             want = draw_score_pairs_sm(model, substream(30, "main", 40, shard),
                                        size)
-            assert np.array_equal(got.f, want.f)
-            assert np.array_equal(got.h, want.h, equal_nan=True)
-            assert np.array_equal(got.aux, want.aux)
-            assert np.array_equal(got.guarded, want.guarded)
+            assert got == UpperAccumulator.of(want)
 
 
 def test_draw_memory_is_bounded_by_columns():
