@@ -44,6 +44,9 @@ def convert(fisher_value: float, *,
     if fisher_value < 0.0 or not math.isfinite(fisher_value):
         raise InvalidInput(f"fisher distance must be a finite nonnegative real, "
                            f"got {fisher_value!r}")
+    if kolmogorov_empirical is not None and not 0.0 <= kolmogorov_empirical <= 1.0:
+        raise InvalidInput(f"a Kolmogorov distance lies in [0, 1], "
+                           f"got {kolmogorov_empirical!r}")
     kl = fisher_value / 2.0
     tv = math.sqrt(2.0 * kl)
     notes = []

@@ -317,12 +317,27 @@ def sample_columns(dists, stream, m: int) -> np.ndarray:
     is the column-by-column draw; ``student_t`` draws all of a run's
     normals before its chi-squares.  The block is coordinate-major: it is
     the transpose of a C-order ``(n, m)`` buffer, so each column's ``m``
-    draws are contiguous.
+    draws are contiguous.  When ``dists`` is one run, that buffer is the
+    sampler's own.
     """
+    runs = list(_runs(dists))
+    if len(runs) == 1:
+        return np.asarray(dists[0].sampler(stream, (len(dists), m)),
+                          dtype=float).T
     out = np.empty((len(dists), m), dtype=float)
-    for start, stop in _runs(dists):
+    for start, stop in runs:
         out[start:stop] = dists[start].sampler(stream, (stop - start, m))
     return out.T
+
+
+def _owned(values, x: np.ndarray) -> np.ndarray:
+    """``values`` as a new writable float array shaped like ``x``: itself
+    when it is one already, else a copy."""
+    if (isinstance(values, np.ndarray) and values.shape == x.shape
+            and values.dtype == float and values.flags.writeable
+            and not np.may_share_memory(values, x)):
+        return values
+    return np.array(np.broadcast_to(values, x.shape), dtype=float)
 
 
 def kernel_columns(dists, x: np.ndarray):
@@ -331,15 +346,30 @@ def kernel_columns(dists, x: np.ndarray):
     ``x`` is a coordinate-major ``(n, s)`` block: one row per coordinate.
     Each run of consecutive identical specs is evaluated by one ``tau`` and
     one ``tau_prime`` call on its 2-D slice of rows; the kernels are
-    elementwise, so the values are those of a row-by-row evaluation.
+    elementwise, so the values are those of a row-by-row evaluation.  The
+    arrays are new, so the caller may write them; when ``dists`` is one
+    run, they are the law's own results wherever those already are.
     """
+    runs = list(_runs(dists))
+    if len(runs) == 1:
+        return _owned(dists[0].tau(x), x), _owned(dists[0].tau_prime(x), x)
     tau = np.empty_like(x)
     taup = np.empty_like(x)
-    for start, stop in _runs(dists):
+    for start, stop in runs:
         dist, rows = dists[start], x[start:stop]
         tau[start:stop] = dist.tau(rows)
         taup[start:stop] = dist.tau_prime(rows)
     return tau, taup
+
+
+def draw_count(reps) -> int:
+    """``reps`` as a number of draws: an integer (numpy's included, a bool
+    not) of at least one."""
+    if isinstance(reps, bool) or not isinstance(reps, (int, np.integer)):
+        raise InvalidInput(f"reps must be an integer, got {reps!r}")
+    if reps < 1:
+        raise InvalidInput(f"need at least one draw, got reps = {reps}")
+    return int(reps)
 
 
 def chunk_sizes(reps: int, size: int = CHUNK) -> list:
@@ -347,10 +377,9 @@ def chunk_sizes(reps: int, size: int = CHUNK) -> list:
 
     Every chunked draw (and every CLI shard) follows this split, so the
     stream order, and with it each draw, is fixed by ``(reps, size)``.
+    ``reps`` is checked by :func:`draw_count`.
     """
-    reps = int(reps)
-    if reps < 1:
-        raise InvalidInput(f"need at least one draw, got reps = {reps}")
+    reps = draw_count(reps)
     sizes = [size] * (reps // size)
     if reps % size:
         sizes.append(reps % size)

@@ -145,7 +145,7 @@ class QuadFormModel:
         for j in range(0, m, s):
             xs = xt[plan.rows, j:j + s]
             draws = slice(j, j + xs.shape[1])
-            r = plan.expand @ xs[:n]
+            r = _grouped_product(plan.expand, xs[:n])
             tau, taup = kernel_columns(plan.dists, xs)
             tau_r = tau * r
             # grad Theta = A (tau r) + (tau' / 2) r^2, and
@@ -158,7 +158,7 @@ class QuadFormModel:
             taup *= 0.5
             taup *= r
             del xs, r, tau
-            grad = plan.cross @ tau_r
+            grad = _grouped_product(plan.cross, tau_r)
             grad += taup
             grad *= tau_r
             sums[2, :, draws] = plan.prefix @ grad
@@ -173,6 +173,66 @@ class QuadFormModel:
         return samples[0] if readouts is None else samples
 
 
+_GROUP_ROWS = 16  # base height of a row group: see _row_groups
+
+
+def _span(nz: np.ndarray) -> tuple:
+    """``(lo, hi)``: the columns from the first to the last that any row of
+    the mask ``nz`` sets; ``(0, 0)`` when it sets none."""
+    cols = np.flatnonzero(nz.any(axis=0))
+    return (int(cols[0]), int(cols[-1]) + 1) if cols.size else (0, 0)
+
+
+def _row_groups(a: np.ndarray) -> tuple:
+    """``a`` as row groups ``(i0, i1, lo, hi, block)``: rows ``i0:i1`` of
+    ``a`` have no nonzero entry outside columns ``lo:hi``, and ``block`` is
+    their contiguous ``a[i0:i1, lo:hi]``; ``lo == hi`` for all-zero rows.
+
+    Groups start :data:`_GROUP_ROWS` rows high, the last one row higher
+    rather than one row alone (a one-row product is a matrix-vector one,
+    which BLAS sums in another order), and each absorbs the next whenever
+    the merged block holds no more entries than the two apart, so a dense
+    matrix is one group.  Every entry left out is an exact zero, so
+    :func:`_grouped_product` gives ``a @ x`` to the bit wherever BLAS sums
+    each output's terms in column order, as its main kernels do; the edge
+    kernels it runs on a few trailing draws, and a one-draw block's
+    matrix-vector product, may sum them in lanes, which moves the result
+    by rounding.  The blocks are read only, as plans are shared between
+    calls.
+    """
+    nz = a != 0.0
+    e = a.shape[0]
+    cuts = [*range(0, max(e - 1, 1), _GROUP_ROWS), e]
+    groups = []
+    for i0, i1 in zip(cuts, cuts[1:]):
+        lo, hi = _span(nz[i0:i1])
+        if groups:
+            p0, p1, plo, phi = groups[-1]
+            mlo, mhi = _span(nz[p0:i1])
+            if ((i1 - p0) * (mhi - mlo)
+                    <= (p1 - p0) * (phi - plo) + (i1 - i0) * (hi - lo)):
+                groups[-1] = (p0, i1, mlo, mhi)
+                continue
+        groups.append((i0, i1, lo, hi))
+    blocks = [np.ascontiguousarray(a[i0:i1, lo:hi])
+              for i0, i1, lo, hi in groups]
+    for block in blocks:
+        block.setflags(write=False)
+    return tuple((*g, block) for g, block in zip(groups, blocks))
+
+
+def _grouped_product(groups: tuple, x: np.ndarray) -> np.ndarray:
+    """``a @ x`` for ``a`` given as its :func:`_row_groups`: one product per
+    group, over the group's columns only, and zeros for an all-zero one."""
+    out = np.empty((groups[-1][1], x.shape[1]))
+    for i0, i1, lo, hi, block in groups:
+        if lo < hi:
+            np.matmul(block, x[lo:hi], out=out[i0:i1])
+        else:
+            out[i0:i1] = 0.0
+    return out
+
+
 @dataclass(frozen=True)
 class _ReadoutPlan:
     """How one pass over a model's draws yields every readout's sums.
@@ -180,19 +240,21 @@ class _ReadoutPlan:
     The pass works on E extended rows: the model's n coordinates, then
     each readout's recomputed rows.  ``rows`` picks the extended rows'
     coordinates from a draw block (a slice when there are none beyond n)
-    and ``dists`` gives their laws.  ``expand`` (E, n) gives each extended
-    row's ``r = A x``, over its readout's leading block for a recomputed
-    row, and ``cross`` (E, E) its ``A (tau r)`` from the extended
-    ``tau r``.  Row ``k`` of the 0/1 ``prefix`` (K, E) sums readout ``k``'s
-    rows: the model's rows below the readout's cut and its own recomputed
-    rows.  ``sigma2`` (K, 1) holds each readout's sigma^2 on the model's
-    scale.  Plans are shared between calls, so their arrays are read only.
+    and ``dists`` gives their laws.  ``expand``, an (E, n) matrix, gives
+    each extended row's ``r = A x``, over its readout's leading block for a
+    recomputed row, and ``cross``, an (E, E) one, its ``A (tau r)`` from
+    the extended ``tau r``; both are kept as :func:`_row_groups`, so their
+    products skip the zero entries.  Row ``k`` of the 0/1 ``prefix``
+    (K, E) sums readout ``k``'s rows: the model's rows below the readout's
+    cut and its own recomputed rows.  ``sigma2`` (K, 1) holds each
+    readout's sigma^2 on the model's scale.  Plans are shared between
+    calls, so their arrays are read only.
     """
 
     rows: object
     dists: tuple
-    expand: np.ndarray
-    cross: np.ndarray
+    expand: tuple
+    cross: tuple
     prefix: np.ndarray
     sigma2: np.ndarray
 
@@ -245,9 +307,9 @@ def _readout_plan(model: QuadFormModel, readouts: tuple) -> _ReadoutPlan:
     plan = _ReadoutPlan(
         rows=np.r_[:n, recomputed] if recomputed else slice(None),
         dists=model.dists + tuple(model.dists[i] for i in recomputed),
-        expand=expand, cross=cross, prefix=prefix,
+        expand=_row_groups(expand), cross=_row_groups(cross), prefix=prefix,
         sigma2=np.array(sigma2)[:, None])
-    for array in (expand, cross, prefix, plan.sigma2):
+    for array in (prefix, plan.sigma2):
         array.setflags(write=False)
     return plan
 

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 # bench/tracing.py wraps the ``sample_columns`` binding; no draw here calls it.
-from .distributions import chunk_sizes, sample_columns
+from .distributions import chunk_sizes, draw_count, sample_columns
 from .errors import DegenerateVariance, InvalidInput
 from .estimate import ScoreSample, readout_models, reduce_draw
 
@@ -186,7 +186,7 @@ class SampleMeanModel:
 def pre_pass(link: SmoothLink, dists, n: int, reps: int, stream):
     """Estimate ``(mu_h, sigma)`` with standard errors from a seed stream."""
     dists = _normalize_dists(dists, n)
-    reps = int(reps)
+    reps = draw_count(reps)
     if reps < 10 ** 4:
         raise InvalidInput("pre_pass needs at least 1e4 replications")
     # Each coordinate column is added and dropped as it is drawn.

@@ -39,6 +39,11 @@ def test_convert_flags_vacuous_tv():
     assert convert(3.0).cap_notes == ()
 
 
+def test_convert_carries_a_kolmogorov_distance_in_range():
+    for ks in (None, 0.0, 0.25, 1.0):
+        assert convert(0.02, kolmogorov_empirical=ks).kolmogorov_empirical == ks
+
+
 def test_convert_rejects_negative():
     with pytest.raises(InvalidInput):
         convert(-1e-9)

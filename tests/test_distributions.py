@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import subprocess
 import sys
@@ -9,7 +10,8 @@ import pytest
 import steinfisher
 from steinfisher.distributions import (CHUNK, catalog_get, chunk_sizes,
                                        kernel_columns, ndtr, sample_columns)
-from steinfisher.errors import MomentConditionViolated, NotInCatalog
+from steinfisher.errors import (InvalidInput, MomentConditionViolated,
+                                NotInCatalog)
 from steinfisher.quadrature import integrate
 from steinfisher.stein_core import tau_by_quadrature
 from steinfisher.streams import substream
@@ -141,6 +143,74 @@ def test_sample_columns_draws_each_run_of_identical_specs_at_once():
         assert np.array_equal(x[:, k], dist.sampler(replay, m))
 
 
+def spying_spec(spec, returned):
+    """A copy of ``spec`` whose sampler and kernels append what they return
+    to ``returned``."""
+    def spied(fn):
+        def wrapped(*args):
+            returned.append(fn(*args))
+            return returned[-1]
+        return wrapped
+
+    kf = spec.kernel_form
+    return dataclasses.replace(
+        spec, sampler=spied(spec.sampler),
+        kernel_form=dataclasses.replace(kf, tau=spied(kf.tau),
+                                        tau_prime=spied(kf.tau_prime)))
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_sample_columns_of_one_run_is_the_samplers_block(name):
+    returned = []
+    law = spying_spec(catalog_get(name), returned)
+    m = 300
+    x = sample_columns([law] * 5, substream(13, "one-run", name), m)
+    (block,) = returned
+    assert x.shape == (m, 5) and np.shares_memory(x, block)
+    assert x.T.flags.c_contiguous
+    assert np.array_equal(x.T, catalog_get(name).sampler(
+        substream(13, "one-run", name), (5, m)))
+    if name != "student_t(20)":
+        # one stream value per draw in C order: the column-by-column draw
+        replay = substream(13, "one-run", name)
+        for k in range(5):
+            assert np.array_equal(x[:, k], law.sampler(replay, m))
+
+
+def test_sample_columns_of_mixed_runs_keeps_the_stream_order():
+    # a student_t run takes its normals, then its chi-squares, between the
+    # other runs' draws
+    names = ["uniform", "student_t(20)", "student_t(20)", "gaussian",
+             "student_t(20)", "exponential_centered", "exponential_centered"]
+    dists = [catalog_get(name) for name in names]
+    m = 129
+    x = sample_columns(dists, substream(14, "mixed"), m)
+    assert x.T.flags.c_contiguous
+    replay = substream(14, "mixed")
+    for start, stop in ((0, 1), (1, 3), (3, 4), (4, 5), (5, 7)):
+        want = dists[start].sampler(replay, (stop - start, m))
+        assert np.array_equal(x[:, start:stop].T, want)
+
+
+def test_kernel_columns_of_one_run_are_the_laws_arrays():
+    returned = []
+    law = spying_spec(catalog_get("uniform"), returned)
+    x = sample_columns([catalog_get("uniform")] * 4, substream(15, "k"), 50).T
+    tau, taup = kernel_columns([law] * 4, x)
+    assert len(returned) == 2
+    assert returned[0] is tau and returned[1] is taup
+    assert np.array_equal(tau, catalog_get("uniform").tau(x))
+    assert not np.shares_memory(tau, x) and not np.shares_memory(taup, x)
+    # kernels that return a constant or their argument are copied, so the
+    # caller may still write the arrays
+    g = catalog_get("gaussian")
+    odd = dataclasses.replace(g, kernel_form=dataclasses.replace(
+        g.kernel_form, tau=lambda v: 1.0, tau_prime=lambda v: v))
+    tau, taup = kernel_columns([odd] * 4, x)
+    assert np.array_equal(tau, np.ones_like(x)) and np.array_equal(taup, x)
+    assert tau.flags.writeable and not np.shares_memory(taup, x)
+
+
 def test_kernel_columns_calls_each_run_of_identical_specs_once():
     calls = []
     u, g, e = (counting_spec(catalog_get(name), calls)
@@ -246,3 +316,11 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 def test_chunk_sizes(reps, size, expected):
     assert chunk_sizes(reps, size) == expected
     assert sum(chunk_sizes(reps, size)) == reps
+    assert chunk_sizes(np.int64(reps), size) == expected
+
+
+# 2.5 and True are among tests/test_preconditions.py's bad values
+@pytest.mark.parametrize("reps", [3.0, np.True_, "3", None])
+def test_chunk_sizes_refuses_what_is_not_an_integer(reps):
+    with pytest.raises(InvalidInput, match="integer"):
+        chunk_sizes(reps)

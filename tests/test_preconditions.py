@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from steinfisher.distances import kolmogorov_empirical
+from steinfisher.distances import convert, kolmogorov_empirical
 from steinfisher.distributions import catalog_get, chunk_sizes
 from steinfisher.errors import (DegenerateVariance, InsufficientData,
                                 InvalidInput, NotIntegrable, QuadratureFailure)
@@ -136,6 +136,26 @@ BAD_VALUES = [
     pytest.param(lambda: gaussian_negative_moment_norm_mc(
         banded_coefficients(40), 8.0, substream(5), 0),
                  id="mc-norm-zero-reps"),
+    # int() once truncated these to 2 and 1 draws
+    pytest.param(lambda: chunk_sizes(2.5), id="chunk-sizes-fraction"),
+    pytest.param(lambda: chunk_sizes(True), id="chunk-sizes-bool"),
+    pytest.param(_draw(2.5), id="samplemean-draw-fraction-reps"),
+    pytest.param(_draw(2.5, "quadform"), id="quadform-draw-fraction-reps"),
+    pytest.param(lambda: pre_pass(identity_link(), [GAUSSIAN] * 4, 4,
+                                  20_000.5, substream(7)),
+                 id="prepass-fraction-reps"),
+    pytest.param(lambda: pre_pass(identity_link(), [GAUSSIAN] * 4, 4, True,
+                                  substream(7)),
+                 id="prepass-bool-reps"),
+    # a Kolmogorov distance lies in [0, 1]
+    pytest.param(lambda: convert(0.02, kolmogorov_empirical=math.nan),
+                 id="convert-nan-kolmogorov"),
+    pytest.param(lambda: convert(0.02, kolmogorov_empirical=math.inf),
+                 id="convert-inf-kolmogorov"),
+    pytest.param(lambda: convert(0.02, kolmogorov_empirical=-3.0),
+                 id="convert-negative-kolmogorov"),
+    pytest.param(lambda: convert(0.02, kolmogorov_empirical=1.5),
+                 id="convert-kolmogorov-above-one"),
 ]
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from steinfisher import quadform
 from steinfisher.distributions import (CHUNK, catalog_get, chunk_sizes,
                                        sample_columns)
 from steinfisher.errors import (ContractViolation, DegenerateModel,
@@ -13,7 +14,7 @@ from steinfisher.errors import (ContractViolation, DegenerateModel,
 from steinfisher.estimate import (ScoreSample, fisher_distance_upper,
                                   plugin_split)
 from steinfisher.quadform import (CoefficientMatrix, QuadFormModel,
-                                  _block_draws,
+                                  _block_draws, _grouped_product, _row_groups,
                                   banded_coefficients, draw_score_pairs,
                                   fisher_bound_factor,
                                   gaussian_negative_moment_norm,
@@ -210,18 +211,18 @@ def test_draw_score_pairs_replays_draw_blocks(n):
 
 
 @pytest.mark.parametrize("laws", ["uniform", "exponential_centered", "mixed"])
-@pytest.mark.parametrize("bandwidth", [1, 2])
+@pytest.mark.parametrize("bandwidth", [1, 2, 3])
 def test_readouts_match_the_prefix_blocks(laws, bandwidth):
-    # One pass over n_max = 64 coordinates, read out at every n, against
-    # each n's own model on the first n columns.  The block ends in a short
-    # sub-block; at n = 2, and at n = 3 for bandwidth 2, every row is
-    # recomputed.
-    dists = (mixed_laws(64) if laws == "mixed"
-             else [catalog_get(laws)] * 64)
+    # One pass over n_max = 128 coordinates, read out at every n, against
+    # each n's own model on the first n columns, through the plan's row
+    # groups.  The block ends in a short sub-block; at n = 2, and at n = 3
+    # from bandwidth 2, every row is recomputed.
+    dists = (mixed_laws(128) if laws == "mixed"
+             else [catalog_get(laws)] * 128)
     models = [QuadFormModel(banded_coefficients(n, bandwidth), dists[:n])
-              for n in (2, 3, 8, 37, 64)]
+              for n in (2, 3, 8, 37, 64, 128)]
     x = sample_columns(dists, substream(96, "readout", laws, bandwidth),
-                       2 * _block_draws(64) + 77)
+                       2 * _block_draws(128) + 77)
     for model, got in zip(models, models[-1].evaluate(x, models)):
         want = model.evaluate(x[:, :model.n])
         assert np.array_equal(got.guarded, want.guarded)
@@ -229,6 +230,101 @@ def test_readouts_match_the_prefix_blocks(laws, bandwidth):
         for u, v in ((got.f, want.f), (got.h, want.h), (got.aux, want.aux)):
             assert np.max(np.abs(u[keep] - v[keep])) <= 1e-12 * np.max(
                 np.abs(v[keep]))
+
+
+def assert_grouped_product_is_exact(a, groups, seed):
+    """The groups tile ``a``'s rows and leave out only zero entries, and
+    ``_grouped_product`` of them is ``a @ x``: to the bit on coordinate-major
+    blocks of whole 8-draw column groups, which BLAS's main kernels sum in
+    column order, and to rounding on one draw, on ragged blocks, whose last
+    draws its edge kernels may sum in lanes, and on draw-major blocks."""
+    tiled = np.zeros_like(a)
+    rows = 0
+    for i0, i1, lo, hi, block in groups:
+        # never a lone row, whose product would be a matrix-vector one
+        assert i0 == rows and i1 - i0 >= 2
+        assert not block.flags.writeable
+        tiled[i0:i1, lo:hi] = block
+        rows = i1
+    assert rows == a.shape[0] and np.array_equal(tiled, a)
+    rng = np.random.default_rng(seed)
+    for s, exact in ((8, True), (256, True),
+                     (1, False), (6, False), (33, False), (300, False)):
+        x = rng.normal(size=(a.shape[1], s))
+        for view, layout_exact in ((x, exact), (np.asfortranarray(x), False)):
+            got, want = _grouped_product(groups, view), a @ view
+            if layout_exact:
+                assert np.array_equal(got, want)
+            else:
+                assert np.all(np.abs(got - want)
+                              <= 1e-14 * np.max(np.abs(want), initial=0.0))
+
+
+def plan_matrices(monkeypatch, model, readouts):
+    """The plan of ``model.evaluate(x, readouts)`` with its dense ``expand``
+    and ``cross``, caught on their way into ``_row_groups``."""
+    dense = []
+
+    def spy(a):
+        dense.append(a.copy())
+        return _row_groups(a)
+
+    monkeypatch.setattr(quadform, "_row_groups", spy)
+    plan = quadform._readout_plan(model, tuple(readouts))
+    return plan, *dense
+
+
+@pytest.mark.parametrize("bandwidth", [1, 2, 3])
+@pytest.mark.parametrize("n", [8, 16, 37, 64, 128])
+@pytest.mark.parametrize("nested", [False, True])
+def test_row_groups_of_banded_plans_are_exact(monkeypatch, n, bandwidth,
+                                              nested):
+    dists = [catalog_get("uniform")] * n
+    sizes = [k for k in (2 * bandwidth + 1, 8, 16, 32, 64, 128) if k < n]
+    readouts = [QuadFormModel(banded_coefficients(k, bandwidth), dists[:k])
+                for k in (sizes if nested else []) + [n]]
+    plan, expand, cross = plan_matrices(monkeypatch, readouts[-1], readouts)
+    assert np.array_equal(expand[:n], cross[:n, :n])
+    for groups, a in ((plan.expand, expand), (plan.cross, cross)):
+        assert_grouped_product_is_exact(a, groups, seed=n)
+        # a band reads few columns per group: from n = 64 up, fewer than
+        # half the dense product's multiplies
+        cost = sum((i1 - i0) * (hi - lo) for i0, i1, lo, hi, _ in groups)
+        assert cost <= (a.size / 2 if n >= 64 else a.size)
+
+
+def test_row_groups_of_a_dense_matrix_are_one_group(monkeypatch):
+    n = 128
+    model = QuadFormModel(CoefficientMatrix(np.ones((n, n)) - np.eye(n)),
+                          [catalog_get("uniform")] * n)
+    plan, expand, cross = plan_matrices(monkeypatch, model, [model])
+    for groups, a in ((plan.expand, expand), (plan.cross, cross)):
+        assert [g[:4] for g in groups] == [(0, n, 0, n)]
+        assert_grouped_product_is_exact(a, groups, seed=1)
+
+
+def test_row_groups_of_a_random_sparse_matrix_are_exact():
+    rng = np.random.default_rng(17)
+    for n in (8, 50, 130):
+        a = np.triu(rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.05), 1)
+        a = a + a.T
+        assert_grouped_product_is_exact(a, _row_groups(a), seed=n)
+
+
+def test_row_groups_write_zeros_for_all_zero_rows():
+    a = np.zeros((40, 40))
+    a[0, 1] = a[1, 0] = 1.0
+    groups = _row_groups(a)
+    # rows 16..39 read no column: one group with an empty span
+    assert [g[:4] for g in groups] == [(0, 16, 0, 2), (16, 40, 0, 0)]
+    assert_grouped_product_is_exact(a, groups, seed=40)
+    u = catalog_get("uniform")
+    model = QuadFormModel(CoefficientMatrix(a), [u] * 40)
+    x = sample_columns(model.dists, substream(97, "zero-rows"), 300)
+    got = model.evaluate(x)
+    want = whole_block_reference(model, x)
+    for v, w in ((got.f, want.f), (got.h, want.h), (got.aux, want.aux)):
+        assert np.array_equal(v, w)
 
 
 def test_theta_nonnegative_and_lower_bound():
