@@ -330,32 +330,17 @@ def sample_columns(dists, stream, m: int) -> np.ndarray:
     return out.T
 
 
-def _owned(values, x: np.ndarray) -> np.ndarray:
-    """``values`` as a new writable float array shaped like ``x``: itself
-    when it is one already, else a copy."""
-    if (isinstance(values, np.ndarray) and values.shape == x.shape
-            and values.dtype == float and values.flags.writeable
-            and not np.may_share_memory(values, x)):
-        return values
-    return np.array(np.broadcast_to(values, x.shape), dtype=float)
-
-
 def kernel_columns(dists, x: np.ndarray):
     """Stein kernels ``(tau, tau')`` of row ``k`` of ``x`` under ``dists[k]``.
 
     ``x`` is a coordinate-major ``(n, s)`` block: one row per coordinate.
     Each run of consecutive identical specs is evaluated by one ``tau`` and
     one ``tau_prime`` call on its 2-D slice of rows; the kernels are
-    elementwise, so the values are those of a row-by-row evaluation.  The
-    arrays are new, so the caller may write them; when ``dists`` is one
-    run, they are the law's own results wherever those already are.
+    elementwise, so the values are those of a row-by-row evaluation.
     """
-    runs = list(_runs(dists))
-    if len(runs) == 1:
-        return _owned(dists[0].tau(x), x), _owned(dists[0].tau_prime(x), x)
     tau = np.empty_like(x)
     taup = np.empty_like(x)
-    for start, stop in runs:
+    for start, stop in _runs(dists):
         dist, rows = dists[start], x[start:stop]
         tau[start:stop] = dist.tau(rows)
         taup[start:stop] = dist.tau_prime(rows)

@@ -144,19 +144,13 @@ def test_sample_columns_draws_each_run_of_identical_specs_at_once():
 
 
 def spying_spec(spec, returned):
-    """A copy of ``spec`` whose sampler and kernels append what they return
-    to ``returned``."""
-    def spied(fn):
-        def wrapped(*args):
-            returned.append(fn(*args))
-            return returned[-1]
-        return wrapped
+    """A copy of ``spec`` whose sampler appends what it returns to
+    ``returned``."""
+    def sampler(*args):
+        returned.append(spec.sampler(*args))
+        return returned[-1]
 
-    kf = spec.kernel_form
-    return dataclasses.replace(
-        spec, sampler=spied(spec.sampler),
-        kernel_form=dataclasses.replace(kf, tau=spied(kf.tau),
-                                        tau_prime=spied(kf.tau_prime)))
+    return dataclasses.replace(spec, sampler=sampler)
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
@@ -190,25 +184,6 @@ def test_sample_columns_of_mixed_runs_keeps_the_stream_order():
     for start, stop in ((0, 1), (1, 3), (3, 4), (4, 5), (5, 7)):
         want = dists[start].sampler(replay, (stop - start, m))
         assert np.array_equal(x[:, start:stop].T, want)
-
-
-def test_kernel_columns_of_one_run_are_the_laws_arrays():
-    returned = []
-    law = spying_spec(catalog_get("uniform"), returned)
-    x = sample_columns([catalog_get("uniform")] * 4, substream(15, "k"), 50).T
-    tau, taup = kernel_columns([law] * 4, x)
-    assert len(returned) == 2
-    assert returned[0] is tau and returned[1] is taup
-    assert np.array_equal(tau, catalog_get("uniform").tau(x))
-    assert not np.shares_memory(tau, x) and not np.shares_memory(taup, x)
-    # kernels that return a constant or their argument are copied, so the
-    # caller may still write the arrays
-    g = catalog_get("gaussian")
-    odd = dataclasses.replace(g, kernel_form=dataclasses.replace(
-        g.kernel_form, tau=lambda v: 1.0, tau_prime=lambda v: v))
-    tau, taup = kernel_columns([odd] * 4, x)
-    assert np.array_equal(tau, np.ones_like(x)) and np.array_equal(taup, x)
-    assert tau.flags.writeable and not np.shares_memory(taup, x)
 
 
 def test_kernel_columns_calls_each_run_of_identical_specs_once():

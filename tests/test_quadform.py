@@ -234,10 +234,11 @@ def test_readouts_match_the_prefix_blocks(laws, bandwidth):
 
 def assert_grouped_product_is_exact(a, groups, seed):
     """The groups tile ``a``'s rows and leave out only zero entries, and
-    ``_grouped_product`` of them is ``a @ x``: to the bit on coordinate-major
-    blocks of whole 8-draw column groups, which BLAS's main kernels sum in
-    column order, and to rounding on one draw, on ragged blocks, whose last
-    draws its edge kernels may sum in lanes, and on draw-major blocks."""
+    ``_grouped_product`` of them is ``a @ x`` to rounding, on
+    coordinate-major and draw-major blocks of whole and ragged draw counts.
+    Which terms BLAS sums in which order depends on its kernels, so the
+    products are compared within 1e-14 of their largest value; the
+    entries they leave out are checked to be exact zeros above."""
     tiled = np.zeros_like(a)
     rows = 0
     for i0, i1, lo, hi, block in groups:
@@ -248,16 +249,13 @@ def assert_grouped_product_is_exact(a, groups, seed):
         rows = i1
     assert rows == a.shape[0] and np.array_equal(tiled, a)
     rng = np.random.default_rng(seed)
-    for s, exact in ((8, True), (256, True),
-                     (1, False), (6, False), (33, False), (300, False)):
+    for s in (1, 6, 8, 33, 256, 300):
         x = rng.normal(size=(a.shape[1], s))
-        for view, layout_exact in ((x, exact), (np.asfortranarray(x), False)):
+        for view in (x, np.asfortranarray(x)):
             got, want = _grouped_product(groups, view), a @ view
-            if layout_exact:
-                assert np.array_equal(got, want)
-            else:
-                assert np.all(np.abs(got - want)
-                              <= 1e-14 * np.max(np.abs(want), initial=0.0))
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want)
+                          <= 1e-14 * np.max(np.abs(want), initial=0.0))
 
 
 def plan_matrices(monkeypatch, model, readouts):
@@ -321,6 +319,8 @@ def test_row_groups_write_zeros_for_all_zero_rows():
     u = catalog_get("uniform")
     model = QuadFormModel(CoefficientMatrix(a), [u] * 40)
     x = sample_columns(model.dists, substream(97, "zero-rows"), 300)
+    # every product and sum has at most two nonzero terms, so its value
+    # does not depend on the order BLAS or numpy sums in
     got = model.evaluate(x)
     want = whole_block_reference(model, x)
     for v, w in ((got.f, want.f), (got.h, want.h), (got.aux, want.aux)):
