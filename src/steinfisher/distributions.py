@@ -115,6 +115,8 @@ def ndtr(a):
 class SteinKernelForm:
     """Closed-form Stein kernel ``tau`` and its derivative.
 
+    Each takes an array and returns a new float array of its shape, which
+    the caller may write.
     ``tau_prime_bound`` is an almost-sure bound ``c`` with ``|tau'| <= c``
     when one exists.
     """
@@ -336,11 +338,16 @@ def kernel_columns(dists, x: np.ndarray):
     ``x`` is a coordinate-major ``(n, s)`` block: one row per coordinate.
     Each run of consecutive identical specs is evaluated by one ``tau`` and
     one ``tau_prime`` call on its 2-D slice of rows; the kernels are
-    elementwise, so the values are those of a row-by-row evaluation.
+    elementwise, so the values are those of a row-by-row evaluation.  The
+    arrays are new, so the caller may write them; when ``dists`` is one
+    run, they are the law's own results.
     """
+    runs = list(_runs(dists))
+    if len(runs) == 1:
+        return dists[0].tau(x), dists[0].tau_prime(x)
     tau = np.empty_like(x)
     taup = np.empty_like(x)
-    for start, stop in _runs(dists):
+    for start, stop in runs:
         dist, rows = dists[start], x[start:stop]
         tau[start:stop] = dist.tau(rows)
         taup[start:stop] = dist.tau_prime(rows)

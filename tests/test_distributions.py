@@ -144,13 +144,19 @@ def test_sample_columns_draws_each_run_of_identical_specs_at_once():
 
 
 def spying_spec(spec, returned):
-    """A copy of ``spec`` whose sampler appends what it returns to
-    ``returned``."""
-    def sampler(*args):
-        returned.append(spec.sampler(*args))
-        return returned[-1]
+    """A copy of ``spec`` whose sampler and kernels append what they return
+    to ``returned``."""
+    def spied(fn):
+        def wrapped(*args):
+            returned.append(fn(*args))
+            return returned[-1]
+        return wrapped
 
-    return dataclasses.replace(spec, sampler=sampler)
+    kf = spec.kernel_form
+    return dataclasses.replace(
+        spec, sampler=spied(spec.sampler),
+        kernel_form=dataclasses.replace(kf, tau=spied(kf.tau),
+                                        tau_prime=spied(kf.tau_prime)))
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
@@ -184,6 +190,25 @@ def test_sample_columns_of_mixed_runs_keeps_the_stream_order():
     for start, stop in ((0, 1), (1, 3), (3, 4), (4, 5), (5, 7)):
         want = dists[start].sampler(replay, (stop - start, m))
         assert np.array_equal(x[:, start:stop].T, want)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_kernel_columns_of_one_run_are_the_laws_arrays(name):
+    returned = []
+    law = spying_spec(catalog_get(name), returned)
+    x = sample_columns([catalog_get(name)] * 4, substream(15, "k", name),
+                       50).T
+    tau, taup = kernel_columns([law] * 4, x)
+    assert len(returned) == 2
+    assert returned[0] is tau and returned[1] is taup
+    # every catalog kernel returns a new float array shaped like its
+    # argument, so the caller may write it
+    for v in (tau, taup):
+        assert v.shape == x.shape and v.dtype == float
+        assert v.flags.writeable and not np.shares_memory(v, x)
+    assert not np.shares_memory(tau, taup)
+    assert np.array_equal(tau, catalog_get(name).tau(x))
+    assert np.array_equal(taup, catalog_get(name).tau_prime(x))
 
 
 def test_kernel_columns_calls_each_run_of_identical_specs_once():
