@@ -253,15 +253,16 @@ def parse_matrix(path: str) -> quadform.CoefficientMatrix:
         if not all(map(math.isfinite, rows[-1])):  # before any symmetry check
             raise ParseError(f"non-finite entry in row: {lines[i + 1]!r}", line=lineno)
     a = np.array(rows)
-    for i in range(n):
-        if a[i, i] != 0.0:
+    # the first offender in row-major order, a row's diagonal before its pairs
+    bad = np.triu(a != a.T, 1)
+    np.fill_diagonal(bad, np.diag(a) != 0.0)
+    if bad.any():
+        i, j = map(int, np.argwhere(bad)[0])  # ints, as json needs
+        if i == j:
             raise ParseError(f"diagonal entry a[{i}][{i}] = {a[i, i]} must be 0",
                              line=i + 2)
-        for j in range(i + 1, n):
-            if a[i, j] != a[j, i]:
-                raise ParseError(
-                    f"asymmetric entries a[{i}][{j}] = {a[i, j]} vs "
-                    f"a[{j}][{i}] = {a[j, i]}", line=j + 2)
+        raise ParseError(f"asymmetric entries a[{i}][{j}] = {a[i, j]} vs "
+                         f"a[{j}][{i}] = {a[j, i]}", line=j + 2)
     for lineno, extra in enumerate(lines[n + 1:], start=n + 2):
         if extra.strip():
             raise ParseError(f"line after the {n} matrix rows: {extra!r}",

@@ -188,9 +188,10 @@ def _row_groups(a: np.ndarray) -> tuple:
     ``a`` have no nonzero entry outside columns ``lo:hi``, and ``block`` is
     their contiguous ``a[i0:i1, lo:hi]``; ``lo == hi`` for all-zero rows.
 
-    Groups start :data:`_GROUP_ROWS` rows high, the last one row higher
-    rather than one row alone (a one-row product is a matrix-vector one,
-    which BLAS sums in another order), and each absorbs the next whenever
+    Groups start as tiles :data:`_GROUP_ROWS` rows high, the last one row
+    higher rather than one row alone (a one-row product is a matrix-vector
+    one, which BLAS sums in another order), and a tile joins the group
+    before it when both read the same span of columns, the one case where
     the merged block holds no more entries than the two apart, so a dense
     matrix is one group.  Every entry left out is an exact zero, so
     :func:`_grouped_product` gives ``a @ x`` to the bit wherever BLAS sums
@@ -205,15 +206,10 @@ def _row_groups(a: np.ndarray) -> tuple:
     cuts = [*range(0, max(e - 1, 1), _GROUP_ROWS), e]
     groups = []
     for i0, i1 in zip(cuts, cuts[1:]):
-        lo, hi = _span(nz[i0:i1])
-        if groups:
-            p0, p1, plo, phi = groups[-1]
-            mlo, mhi = _span(nz[p0:i1])
-            if ((i1 - p0) * (mhi - mlo)
-                    <= (p1 - p0) * (phi - plo) + (i1 - i0) * (hi - lo)):
-                groups[-1] = (p0, i1, mlo, mhi)
-                continue
-        groups.append((i0, i1, lo, hi))
+        span = _span(nz[i0:i1])
+        if groups and groups[-1][2:] == span:
+            i0 = groups.pop()[0]
+        groups.append((i0, i1, *span))
     blocks = [np.ascontiguousarray(a[i0:i1, lo:hi])
               for i0, i1, lo, hi in groups]
     for block in blocks:

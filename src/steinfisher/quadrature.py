@@ -71,8 +71,7 @@ def _panels(f, lefts, rights):
                           resasc * np.minimum(1.0, (200.0 * diff / np.where(
                               resasc > 0.0, resasc, 1.0)) ** 1.5),
                           diff)
-    err = np.where(resasc > 0.0, scaled, diff)
-    return k, err
+    return k, scaled
 
 
 def integrate(f, a, b, *, tol=DEFAULT_TOL, limit=1024, init=4):

@@ -150,21 +150,34 @@ class SampleMeanModel:
         return self.reduce_columns(x.T, readouts)
 
     def reduce_columns(self, columns, readouts=None):
-        """Score-pair arrays from the draws' coordinate columns: the running
-        sums of :func:`fold_columns` finished at ``n``.  With ``readouts``,
-        models whose laws are the first ``r.n`` of this model's, a list with
-        one sample per readout, finished at its own ``n``."""
+        """Score-pair arrays from the draws' coordinate columns, finished at
+        ``n`` by :meth:`finish`.  With ``readouts``, models whose laws are
+        the first ``r.n`` of this model's, a list with one sample per
+        readout, finished at its own ``n``.
+
+        ``columns`` yields one length-m column per coordinate, in order
+        0..n-1.  Each is folded into the running sums ``(Σx_k, Στ_k,
+        Στ'_k·τ_k)`` and dropped, so the (m, n) block of draws and its
+        kernels are never held; starting at 0.0 and adding in coordinate
+        order is numpy's axis-0 reduction of the block, to the bit.
+        """
         models = readout_models(self, readouts)
         samples = [None] * len(models)
-        for k, sums in enumerate(fold_columns(self.dists, columns), start=1):
+        x_sum = tau_sum = tt_sum = 0.0
+        # one flat zip: enumerate over a zip would keep a spent column alive
+        for k, dist, col in zip(range(1, self.n + 1), self.dists, columns):
+            tau = dist.tau(col)
+            x_sum += col
+            tau_sum += tau
+            tt_sum += dist.tau_prime(col) * tau
             for i, r in enumerate(models):
                 if r.n == k:
-                    samples[i] = r.finish(*sums)
+                    samples[i] = r.finish(x_sum, tau_sum, tt_sum)
         return samples[0] if readouts is None else samples
 
     def finish(self, x_sum, tau_sum, tt_sum) -> ScoreSample:
-        """Score-pair arrays from the sums of :func:`fold_columns` over this
-        model's ``n`` coordinates."""
+        """Score-pair arrays from the running sums of :meth:`reduce_columns`
+        over this model's ``n`` coordinates."""
         link = self.link
         n = self.n
         sigma = self.sigma
@@ -243,25 +256,6 @@ def sample_mean_model(link: SmoothLink, dists, n: Optional[int] = None, *,
         mu, sigma, se = pre_pass(link, dists, len(dists), prepass_reps, stream)
     return SampleMeanModel(link=link, dists=dists, mu_h=mu, sigma=sigma,
                            pre_pass_se=se)
-
-
-def fold_columns(dists, columns):
-    """Running sums ``(Σx_k, Στ_k, Στ'_k·τ_k)``, yielded after each column.
-
-    ``columns`` yields one length-m column per coordinate, in order 0..n-1,
-    and column ``k`` follows ``dists[k]``.  Each column is folded into the
-    sums and dropped, so the (m, n) block of draws and its kernels are never
-    held; starting at 0.0 and adding in coordinate order is numpy's axis-0
-    reduction of the block, to the bit.  The sums are updated in place, so
-    a consumer reads each yield before it asks for the next.
-    """
-    x_sum = tau_sum = tt_sum = 0.0
-    for dist, col in zip(dists, columns):
-        tau = dist.tau(col)
-        x_sum += col
-        tau_sum += tau
-        tt_sum += dist.tau_prime(col) * tau
-        yield x_sum, tau_sum, tt_sum
 
 
 def draw_score_pairs_sm(model: SampleMeanModel, stream, reps: int,

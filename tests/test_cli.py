@@ -49,6 +49,14 @@ def test_parse_matrix_examples(tmp_path):
     # a non-finite entry below the diagonal is reported as one, on its own
     # line, before any symmetry check reads it
     ("3\n0 1 2\n1 0 1\nnan 1 0\n", 4, "non-finite entry"),
+    # the first offender in row-major order, a row's diagonal entry before
+    # its asymmetric pairs; an asymmetric pair names its lower entry's line
+    ("3\n7 1 2\n3 0 1\n2 1 0\n", 2, "diagonal entry a[0][0] = 7.0 must be 0"),
+    ("3\n0 1 2\n1 5 1\n3 1 0\n", 4, "asymmetric entries a[0][2] = 2.0 vs "
+     "a[2][0] = 3.0"),
+    ("3\n0 1 2\n1 5 1\n2 4 0\n", 3, "diagonal entry a[1][1] = 5.0 must be 0"),
+    ("3\n0 1 2\n1 0 1\n2 4 0\n", 4, "asymmetric entries a[1][2] = 1.0 vs "
+     "a[2][1] = 4.0"),
 ])
 def test_matrix_parse_errors_name_their_line(tmp_path, text, line, message):
     with pytest.raises(ParseError) as err:
@@ -200,9 +208,10 @@ def test_quadform_rate_is_scale_free_in_the_matrix(tmp_path, n):
             assert est[name] == pytest.approx(estimates[1][name], rel=1e-12)
 
 
-@pytest.mark.parametrize("entry", ["inf", "-inf", "nan"])
-def test_non_finite_matrix_entries_exit_2(tmp_path, capsys, entry):
-    mpath = write(tmp_path, "m.mat", f"2\n0 {entry}\n{entry} 0\n")
+def assert_matrix_file_exits_2(tmp_path, capsys, text, line):
+    """``quadform_rate`` on a matrix file holding ``text`` exits 2 with a
+    ``parse`` error that names ``line``, no traceback and no output."""
+    mpath = write(tmp_path, "m.mat", text)
     out = tmp_path / "o.csv"
     assert main(["run", "--experiment", "quadform_rate", "--dist", "uniform",
                  "--n-grid", "2", "--reps", "1000", "--matrix-path", mpath,
@@ -210,8 +219,21 @@ def test_non_finite_matrix_entries_exit_2(tmp_path, capsys, entry):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     payload = json.loads(err.strip().splitlines()[-1])
-    assert payload["error"] == "parse" and payload["detail"]["line"] == 2
+    assert payload["error"] == "parse" and payload["detail"]["line"] == line
     assert not out.exists()
+
+
+@pytest.mark.parametrize("entry", ["inf", "-inf", "nan"])
+def test_non_finite_matrix_entries_exit_2(tmp_path, capsys, entry):
+    assert_matrix_file_exits_2(tmp_path, capsys,
+                               f"2\n0 {entry}\n{entry} 0\n", 2)
+
+
+@pytest.mark.parametrize("text,line", [("2\n0 1\n0.5 0\n", 3),
+                                       ("2\n1 0\n0 1\n", 2)])
+def test_asymmetric_or_diagonal_matrix_files_exit_2(tmp_path, capsys, text,
+                                                    line):
+    assert_matrix_file_exits_2(tmp_path, capsys, text, line)
 
 
 def test_matrix_lines_after_row_n_exit_2(tmp_path, capsys):
@@ -219,16 +241,8 @@ def test_matrix_lines_after_row_n_exit_2(tmp_path, capsys):
     with pytest.raises(ParseError) as err:
         parse_matrix(write(tmp_path, "late.mat", "2\n0 1\n1 0\n\n0 0\n"))
     assert err.value.line == 5
-    mpath = write(tmp_path, "extra.mat", "2\n0 1\n1 0\n5 5 5\ngarbage\n")
-    out = tmp_path / "o.csv"
-    assert main(["run", "--experiment", "quadform_rate", "--dist", "uniform",
-                 "--n-grid", "2", "--reps", "1000", "--matrix-path", mpath,
-                 "--out-path", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    payload = json.loads(err.strip().splitlines()[-1])
-    assert payload["error"] == "parse" and payload["detail"]["line"] == 4
-    assert not out.exists()
+    assert_matrix_file_exits_2(tmp_path, capsys,
+                               "2\n0 1\n1 0\n5 5 5\ngarbage\n", 4)
 
 
 def test_csv_json_round_trip(tmp_path):

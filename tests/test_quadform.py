@@ -327,6 +327,89 @@ def test_row_groups_write_zeros_for_all_zero_rows():
         assert np.array_equal(v, w)
 
 
+def area_rule_groups(a):
+    """``(i0, i1, lo, hi)`` of each row group by the area rule, the
+    reference for :func:`_row_groups`: a tile joins the group before it
+    whenever the merged block holds no more entries than the two apart."""
+    nz = a != 0.0
+
+    def span(rows):
+        cols = np.flatnonzero(rows.any(axis=0))
+        return (int(cols[0]), int(cols[-1]) + 1) if cols.size else (0, 0)
+
+    e = a.shape[0]
+    cuts = [*range(0, max(e - 1, 1), quadform._GROUP_ROWS), e]
+    groups = []
+    for i0, i1 in zip(cuts, cuts[1:]):
+        lo, hi = span(nz[i0:i1])
+        if groups:
+            p0, p1, plo, phi = groups[-1]
+            mlo, mhi = span(nz[p0:i1])
+            if ((i1 - p0) * (mhi - mlo)
+                    <= (p1 - p0) * (phi - plo) + (i1 - i0) * (hi - lo)):
+                groups[-1] = (p0, i1, mlo, mhi)
+                continue
+        groups.append((i0, i1, lo, hi))
+    return groups
+
+
+def random_mask(rng, kind):
+    """A seeded random nonzero pattern of one of four kinds: rectangular
+    from sparse to dense, at times with each tile's columns cut to one of
+    two windows so neighbouring tiles often read one span; banded; with
+    all-zero trailing rows; or with a row count that is 1 mod 16."""
+    e = (16 * int(rng.integers(0, 9)) + 1 if kind == "rows_1_mod_16"
+         else int(rng.integers(1, 141)))
+    c = e if kind == "banded" else int(rng.integers(1, 141))
+    if kind == "banded":
+        offset = np.arange(c)[None, :] - np.arange(e)[:, None]
+        below, above = rng.integers(0, 9, size=2)
+        mask = (offset >= -below) & (offset <= above) & (
+            rng.random((e, c)) < rng.uniform(0.3, 1.0))
+    else:
+        mask = rng.random((e, c)) < 10.0 ** rng.uniform(-2.5, 0.0)
+        if rng.random() < 0.5:
+            windows = [sorted(rng.integers(0, c + 1, size=2))
+                       for _ in range(2)]
+            for i0 in range(0, e, quadform._GROUP_ROWS):
+                lo, hi = windows[rng.integers(0, 2)]
+                mask[i0:i0 + quadform._GROUP_ROWS, :lo] = False
+                mask[i0:i0 + quadform._GROUP_ROWS, hi:] = False
+    if kind == "zero_tail":
+        mask[e - int(rng.integers(1, e + 1)):] = False
+    return np.where(mask, rng.normal(size=(e, c)), 0.0)
+
+
+def test_row_groups_follow_the_area_rule_on_random_masks():
+    kinds = ("rectangular", "banded", "zero_tail", "rows_1_mod_16")
+    merged = split = 0
+    for seed in range(1200):
+        rng = np.random.default_rng(seed)
+        a = random_mask(rng, kinds[seed % 4])
+        want = area_rule_groups(a)
+        assert [g[:4] for g in _row_groups(a)] == want, seed
+        tiles = -(-max(a.shape[0] - 1, 1) // quadform._GROUP_ROWS)
+        merged += tiles - len(want)
+        split += len(want) - 1
+    # the masks reach both outcomes of the rule, many times over
+    assert merged > 500 and split > 500
+
+
+@pytest.mark.parametrize("bandwidth", [1, 2, 3])
+@pytest.mark.parametrize("n", [8, 16, 37, 64, 128, 130])
+def test_row_groups_of_banded_plans_follow_the_area_rule(monkeypatch, n,
+                                                          bandwidth):
+    dists = [catalog_get("uniform")] * n
+    sizes = [k for k in range(2 * bandwidth + 1, n) if k % 8 == 0 or k < 12]
+    for nested in (False, True):
+        readouts = [QuadFormModel(banded_coefficients(k, bandwidth), dists[:k])
+                    for k in (sizes if nested else []) + [n]]
+        plan, expand, cross = plan_matrices(monkeypatch, readouts[-1],
+                                            readouts)
+        for groups, a in ((plan.expand, expand), (plan.cross, cross)):
+            assert [g[:4] for g in groups] == area_rule_groups(a)
+
+
 def test_theta_nonnegative_and_lower_bound():
     # tau >= tau0 > 0 holds for gaussian (tau0 = 1) and student (18/19)
     for name, tau0 in (("gaussian", 1.0), ("student_t(20)", 18.0 / 19.0)):

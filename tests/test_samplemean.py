@@ -296,6 +296,28 @@ def test_draw_memory_is_bounded_by_columns():
     assert peak < 0.5 * CHUNK * n * 8
 
 
+def test_reduce_columns_drops_each_spent_column(monkeypatch):
+    # When the sums are finished, the fold holds five length-m arrays: the
+    # three running sums, the last column and its tau, and no earlier column.
+    m, n = CHUNK, 4
+    u = catalog_get("uniform")
+    model = sample_mean_model(identity_link(), [u] * n, n)
+    finish, held = SampleMeanModel.finish, []
+
+    def spy(self, *sums):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return finish(self, *sums)
+
+    monkeypatch.setattr(SampleMeanModel, "finish", spy)
+    stream = substream(26, "mem")
+    tracemalloc.start()
+    try:
+        model.reduce_columns(u.sampler(stream, m) for _ in range(n))
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 1 and held[0] < 5.5 * m * 8
+
+
 def test_draw_score_pair_sm_single():
     g = catalog_get("gaussian")
     model = sample_mean_model(sin_link(), [g] * 6, 6,
