@@ -299,16 +299,22 @@ def catalog_get(name: str) -> DistributionSpec:
     return spec
 
 
-def _runs(dists):
-    """``(start, stop)`` of each run of consecutive identical specs."""
-    start = 0
+def column_runs(dists) -> tuple:
+    """``(start, stop)`` of each run of consecutive identical specs.
+
+    :func:`sample_columns` and :func:`kernel_columns` take these as
+    ``runs``; a caller that draws the same laws block after block computes
+    them once and passes them in.
+    """
+    runs, start = [], 0
     for stop in range(1, len(dists) + 1):
         if stop == len(dists) or dists[stop] is not dists[start]:
-            yield start, stop
+            runs.append((start, stop))
             start = stop
+    return tuple(runs)
 
 
-def sample_columns(dists, stream, m: int) -> np.ndarray:
+def sample_columns(dists, stream, m: int, runs=None) -> np.ndarray:
     """Draw an ``(m, n)`` matrix whose column ``k`` follows ``dists[k]``.
 
     Each run of consecutive identical specs is drawn by one
@@ -320,9 +326,11 @@ def sample_columns(dists, stream, m: int) -> np.ndarray:
     normals before its chi-squares.  The block is coordinate-major: it is
     the transpose of a C-order ``(n, m)`` buffer, so each column's ``m``
     draws are contiguous.  When ``dists`` is one run, that buffer is the
-    sampler's own.
+    sampler's own.  ``runs`` is ``column_runs(dists)``, computed here when
+    not given.
     """
-    runs = list(_runs(dists))
+    if runs is None:
+        runs = column_runs(dists)
     if len(runs) == 1:
         return np.asarray(dists[0].sampler(stream, (len(dists), m)),
                           dtype=float).T
@@ -332,7 +340,7 @@ def sample_columns(dists, stream, m: int) -> np.ndarray:
     return out.T
 
 
-def kernel_columns(dists, x: np.ndarray):
+def kernel_columns(dists, x: np.ndarray, runs=None):
     """Stein kernels ``(tau, tau')`` of row ``k`` of ``x`` under ``dists[k]``.
 
     ``x`` is a coordinate-major ``(n, s)`` block: one row per coordinate.
@@ -340,9 +348,11 @@ def kernel_columns(dists, x: np.ndarray):
     one ``tau_prime`` call on its 2-D slice of rows; the kernels are
     elementwise, so the values are those of a row-by-row evaluation.  The
     arrays are new, so the caller may write them; when ``dists`` is one
-    run, they are the law's own results.
+    run, they are the law's own results.  ``runs`` is
+    ``column_runs(dists)``, computed here when not given.
     """
-    runs = list(_runs(dists))
+    if runs is None:
+        runs = column_runs(dists)
     if len(runs) == 1:
         return dists[0].tau(x), dists[0].tau_prime(x)
     tau = np.empty_like(x)

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import moments
-from .distributions import chunk_sizes, kernel_columns, sample_columns
+from .distributions import (chunk_sizes, column_runs, kernel_columns,
+                            sample_columns)
 from .errors import (ContractViolation, DegenerateModel, InvalidInput,
                      NotIntegrable)
 from .estimate import ScoreSample, readout_models, reduce_draw
@@ -105,6 +106,7 @@ class QuadFormModel:
     Every draw is of ``F / sigma``, with the normalizer and integrand
     rescaled consistently.  None of these depend on the scale of A, so
     ``matrix``, ``sigma2`` and ``sigma`` are those of the unit-scaled A.
+    ``runs`` is ``column_runs(dists)``, kept for every draw block.
     """
 
     def __init__(self, matrix: CoefficientMatrix, dists):
@@ -115,6 +117,7 @@ class QuadFormModel:
             raise DegenerateModel("zero-variance quadratic form rejected")
         self.matrix = matrix
         self.dists = tuple(dists)
+        self.runs = column_runs(self.dists)
         self.sigma2 = matrix.sigma2
         self.sigma = math.sqrt(self.sigma2)
 
@@ -146,7 +149,7 @@ class QuadFormModel:
             xs = xt[plan.rows, j:j + s]
             draws = slice(j, j + xs.shape[1])
             r = _grouped_product(plan.expand, xs[:n])
-            tau, taup = kernel_columns(plan.dists, xs)
+            tau, taup = kernel_columns(plan.dists, xs, runs=plan.runs)
             tau_r = tau * r
             # grad Theta = A (tau r) + (tau' / 2) r^2, and
             # L_k F = tau_k r_k / 2.  Each per-row term is summed over
@@ -243,12 +246,14 @@ class _ReadoutPlan:
     products skip the zero entries.  Row ``k`` of the 0/1 ``prefix``
     (K, E) sums readout ``k``'s rows: the model's rows below the readout's
     cut and its own recomputed rows.  ``sigma2`` (K, 1) holds each
-    readout's sigma^2 on the model's scale.  Plans are shared between
-    calls, so their arrays are read only.
+    readout's sigma^2 on the model's scale.  ``runs`` is
+    ``column_runs(dists)``, kept for the kernels of every sub-block.  Plans
+    are shared between calls, so their arrays are read only.
     """
 
     rows: object
     dists: tuple
+    runs: tuple
     expand: tuple
     cross: tuple
     prefix: np.ndarray
@@ -300,9 +305,10 @@ def _readout_plan(model: QuadFormModel, readouts: tuple) -> _ReadoutPlan:
         cross[own, own] = a[cut:size, cut:size]
         prefix[k, :cut] = prefix[k, own] = 1.0
         row = own.stop
+    dists = model.dists + tuple(model.dists[i] for i in recomputed)
     plan = _ReadoutPlan(
         rows=np.r_[:n, recomputed] if recomputed else slice(None),
-        dists=model.dists + tuple(model.dists[i] for i in recomputed),
+        dists=dists, runs=column_runs(dists),
         expand=_row_groups(expand), cross=_row_groups(cross), prefix=prefix,
         sigma2=np.array(sigma2)[:, None])
     for array in (prefix, plan.sigma2):
@@ -325,7 +331,8 @@ def draw_score_pairs(model: QuadFormModel, stream, reps: int, readouts=None):
     nested, and the result is one accumulator per readout: see
     :func:`estimate.reduce_draw`.
     """
-    blocks = (model.evaluate(sample_columns(model.dists, stream, m), readouts)
+    blocks = (model.evaluate(sample_columns(model.dists, stream, m,
+                                            runs=model.runs), readouts)
               for m in chunk_sizes(reps, _draw_block(model.n)))
     return reduce_draw(blocks, readouts)
 

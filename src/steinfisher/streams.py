@@ -1,10 +1,13 @@
-"""Counter-based random streams with hierarchical substream derivation.
+"""Keyed random streams with hierarchical substream derivation.
 
 Every Monte Carlo routine in the package takes an explicit
-``numpy.random.Generator`` backed by the counter-based Philox engine, so
-draws are reproducible and substreams derived from ``(seed, *path)`` are
-statistically independent regardless of evaluation order.  Path components
-may be integers or short strings (strings are hashed with CRC-32).
+``numpy.random.Generator`` backed by the SFC64 engine, seeded from a
+``numpy.random.SeedSequence`` whose spawn key is the stream's path.  Draws
+are reproducible, and substreams derived from distinct ``(seed, *path)``
+are statistically independent regardless of evaluation order: the
+independence comes from the keys, which ``SeedSequence`` hashes into
+unrelated engine states, not from a counter.  Path components may be
+integers or short strings (strings are hashed with CRC-32).
 """
 
 from __future__ import annotations
@@ -20,6 +23,12 @@ _MASK64 = (1 << 64) - 1
 
 
 def _as_key(part) -> int:
+    """One path component as a 32-bit spawn-key word.
+
+    A string is the CRC-32 of its UTF-8 bytes, a bool (numpy's included)
+    is 0 or 1, and an integer (numpy's included) is its low 32 bits, so
+    ``5``, ``np.int64(5)`` and ``5 + 2**32`` key alike.
+    """
     if isinstance(part, str):
         return zlib.crc32(part.encode("utf-8"))
     if isinstance(part, (bool, np.bool_)):
@@ -30,9 +39,14 @@ def _as_key(part) -> int:
 
 
 def substream(seed, *path) -> np.random.Generator:
-    """Philox generator keyed deterministically by ``(seed, *path)``."""
+    """SFC64 generator keyed deterministically by ``(seed, *path)``.
+
+    The seed's low 64 bits are the ``SeedSequence`` entropy and the path,
+    each part through :func:`_as_key`, its spawn key, so two distinct
+    paths under one seed give independent streams.
+    """
     ss = np.random.SeedSequence(
         entropy=int(seed) & _MASK64,
         spawn_key=tuple(_as_key(p) for p in path),
     )
-    return np.random.Generator(np.random.Philox(seed=ss))
+    return np.random.Generator(np.random.SFC64(seed=ss))

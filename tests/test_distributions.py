@@ -9,7 +9,8 @@ import pytest
 
 import steinfisher
 from steinfisher.distributions import (CHUNK, catalog_get, chunk_sizes,
-                                       kernel_columns, ndtr, sample_columns)
+                                       column_runs, kernel_columns, ndtr,
+                                       sample_columns)
 from steinfisher.errors import (InvalidInput, MomentConditionViolated,
                                 NotInCatalog)
 from steinfisher.quadrature import integrate
@@ -186,8 +187,12 @@ def test_sample_columns_of_mixed_runs_keeps_the_stream_order():
     m = 129
     x = sample_columns(dists, substream(14, "mixed"), m)
     assert x.T.flags.c_contiguous
+    runs = ((0, 1), (1, 3), (3, 4), (4, 5), (5, 7))
+    assert column_runs(dists) == runs
+    assert np.array_equal(
+        sample_columns(dists, substream(14, "mixed"), m, runs=runs), x)
     replay = substream(14, "mixed")
-    for start, stop in ((0, 1), (1, 3), (3, 4), (4, 5), (5, 7)):
+    for start, stop in runs:
         want = dists[start].sampler(replay, (stop - start, m))
         assert np.array_equal(x[:, start:stop].T, want)
 
@@ -225,6 +230,10 @@ def test_kernel_columns_calls_each_run_of_identical_specs_once():
                                          ("uniform", 1),
                                          ("exponential_centered", 2))
                      for kernel in ("tau", "tau_prime")]
+    runs = column_runs(dists)
+    assert runs == ((0, 3), (3, 5), (5, 6), (6, 8))
+    given = kernel_columns(dists, x, runs=runs)
+    assert np.array_equal(given[0], tau) and np.array_equal(given[1], taup)
     for k, d in enumerate(plain):
         assert np.array_equal(tau[k], d.tau(x[k]))
         assert np.array_equal(taup[k], d.tau_prime(x[k]))

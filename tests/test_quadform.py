@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steinfisher import quadform
+from steinfisher import distributions, quadform
 from steinfisher.distributions import (CHUNK, catalog_get, chunk_sizes,
                                        sample_columns)
 from steinfisher.errors import (ContractViolation, DegenerateModel,
@@ -158,6 +158,29 @@ def test_evaluate_calls_kernels_once_per_run_and_sub_block():
     per_block = [(name, kernel) for name in ("uniform", "gaussian")
                  for kernel in ("tau", "tau_prime")]
     assert [c[:2] for c in calls] == per_block * 4
+
+
+def test_nested_draw_scans_the_laws_once_per_plan(monkeypatch):
+    # the model and its readout plan keep their column runs, so neither a
+    # draw block nor a sub-block scans the law tuple again
+    laws = [catalog_get("uniform")] * 40 + [catalog_get("gaussian")] * 24
+    models = [QuadFormModel(banded_coefficients(n), laws[:n])
+              for n in (8, 16, 64)]
+    scans = []
+
+    def counted(runs):
+        def scan(dists):
+            scans.append(len(dists))
+            return runs(dists)
+        return scan
+
+    monkeypatch.setattr(quadform, "column_runs",
+                        counted(quadform.column_runs))
+    monkeypatch.setattr(distributions, "column_runs",
+                        counted(distributions.column_runs))
+    draw_score_pairs(models[-1], substream(92, "scans"),
+                     3 * quadform._draw_block(64) + 5, readouts=models)
+    assert len(scans) == 1  # the plan's, built on the first block
 
 
 def test_evaluate_memory_stays_bounded():
