@@ -238,8 +238,15 @@ def _student_t(beta: float) -> DistributionSpec:
     from scipy import special
 
     scale = math.sqrt((beta - 2.0) / beta)
-    # 1 / (B(beta/2, 1/2) sqrt(beta)); a gammaln difference cancels at large beta
-    log_norm = -float(special.betaln(beta / 2.0, 0.5)) - 0.5 * math.log(beta)
+    # 1 / (B(beta/2, 1/2) sqrt(beta)).  From beta = 1e3 on, betaln is off by
+    # up to 3e-10 and the Stirling series of the gamma ratio is exact to
+    # rounding; its cubic term divides by beta one factor at a time, since
+    # beta**3 overflows past 1e103.
+    if beta < 1e3:
+        log_norm = -float(special.betaln(beta / 2.0, 0.5)) - 0.5 * math.log(beta)
+    else:
+        log_norm = (-0.5 * math.log(2.0 * math.pi) - 0.25 / beta
+                    + 1.0 / (24.0 * beta) / beta / beta)
 
     def density(x):
         t = np.asarray(x, dtype=float) / scale

@@ -29,10 +29,6 @@ class NotIntegrable(SteinFisherError):
     """An improper integral diverges under the numeric decay probe."""
 
 
-class MissingKernelDerivativeBound(SteinFisherError):
-    """No almost-sure bound on the kernel derivative is available."""
-
-
 class GuardDominated(SteinFisherError):
     """Too many guarded draws; the estimate is unreliable."""
 

@@ -1,6 +1,5 @@
-"""Moment toolbox: negative moments via the MGF integral, the normalized
-negative-moment trend, and the MGF bound available when the kernel
-derivative is almost surely bounded.
+"""Moment toolbox: negative moments ``E[(Y_1 + ... + Y_m)^-alpha]`` via
+the MGF integral, and the MGF-described nonnegative laws they are taken of.
 """
 
 from __future__ import annotations
@@ -8,12 +7,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .distributions import DistributionSpec
-from .errors import InvalidInput, MissingKernelDerivativeBound, NotIntegrable
+from .errors import InvalidInput, NotIntegrable
 from .quadrature import integrate, integrate_half_line
 
 # The factor product's local decay exponent is measured between these two
@@ -186,61 +185,3 @@ class NonnegativeLaw:
         """Law of ``tau(X)``, which has unit mean for standardized inputs."""
         return cls(name=f"kernel_of({dist.name})",
                    mgf=_quadrature_mgf(dist, lambda v, y: -v * dist.tau(y)))
-
-
-@dataclass(frozen=True)
-class TrendPoint:
-    n: int
-    value: Optional[float]
-    note: str = ""
-
-
-def ujmld_trend(law: NonnegativeLaw, alpha: float, n_grid,
-                *, quadrature_tol=1e-10) -> list:
-    """Normalized trend ``n^alpha E[(Y_1 + ... + Y_n)^-alpha]`` over a grid.
-
-    Grid points where the integral diverges are skipped with a note instead
-    of aborting the whole trend.
-    """
-    points = []
-    for n in n_grid:
-        n = int(n)
-        query = NegMomentQuery(alpha=alpha, mgf_factors=(law.mgf,) * n,
-                               quadrature_tol=quadrature_tol)
-        try:
-            value = negative_moment(query) * float(n) ** alpha
-            points.append(TrendPoint(n=n, value=value))
-        except NotIntegrable as exc:
-            points.append(TrendPoint(n=n, value=None, note=str(exc)))
-    return points
-
-
-@dataclass(frozen=True)
-class MgfCheckPoint:
-    x: float
-    lhs: float
-    rhs: float
-    ok: bool
-
-
-def mgf_bound_check(dist: DistributionSpec, x_grid, *,
-                    c: Optional[float] = None) -> list:
-    """Check ``E[exp(-x tau(X))] <= (1 + x c^2)^(-1/c^2)`` pointwise.
-
-    ``c`` defaults to the catalog bound on ``|tau'|``; without a positive
-    bound the criterion does not apply.  Points are reported, never
-    asserted, so out-of-contract inputs simply show ``ok=False``.
-    """
-    if c is None:
-        c = dist.kernel_form.tau_prime_bound
-    if c is None or c <= 0.0:
-        raise MissingKernelDerivativeBound(
-            f"{dist.name} has no positive kernel-derivative bound; supply c")
-    xs = np.fromiter(x_grid, dtype=float)
-    lhs_values = NonnegativeLaw.kernel_of(dist).mgf(xs)
-    out = []
-    for x, lhs in zip(xs, lhs_values):
-        x, lhs = float(x), float(lhs)
-        rhs = (1.0 + x * c * c) ** (-1.0 / (c * c))
-        out.append(MgfCheckPoint(x=x, lhs=lhs, rhs=rhs, ok=lhs <= rhs + 1e-10))
-    return out

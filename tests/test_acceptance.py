@@ -28,8 +28,7 @@ from steinfisher.cli import ExperimentConfig, run
 from steinfisher.distances import convert, kolmogorov_empirical
 from steinfisher.distributions import catalog_get
 from steinfisher.estimate import fisher_distance_upper, fit_rate, plugin_split
-from steinfisher.moments import (NegMomentQuery, NonnegativeLaw,
-                                 mgf_bound_check, negative_moment, ujmld_trend)
+from steinfisher.moments import NegMomentQuery, NonnegativeLaw, negative_moment
 from steinfisher.quadform import (CoefficientMatrix, QuadFormModel,
                                   gaussian_negative_moment_norm,
                                   gaussian_negative_moment_norm_mc)
@@ -37,12 +36,12 @@ from steinfisher.quadrature import integrate
 from steinfisher.samplemean import (draw_score_pairs_sm, identity_link,
                                     linear_sum_pairs, sample_mean_model,
                                     sin_link, tanh_link)
-from steinfisher.stein_core import covariance_formula_check, tau_by_quadrature
+from steinfisher.stein_core import tau_by_quadrature
 from steinfisher.streams import _as_key, substream
 
 from conftest import (assert_cross_term_matches_finite_differences,
                       quadform_g, sample_mean_g)
-from test_stein_core import clipped_poly
+from test_stein_core import clipped_poly, covariance_formula_check
 
 N_GRID = (8, 16, 32, 64, 128)
 # Generic 1/n window for a log-log slope of E|H - F|^2 against n.
@@ -103,9 +102,9 @@ def test_criterion_02_covariance_formula():
             for _ in range(20):
                 alpha, alpha_prime = clipped_poly(rng.uniform(-1, 1, 4))
                 beta = np.polynomial.Polynomial(rng.uniform(-1, 1, 5))
-                rep = covariance_formula_check(d, alpha, alpha_prime, beta)
-                assert rep.abs_diff <= 1e-7, (
-                    f"{name}: |lhs-rhs| = {rep.abs_diff:.2e}")
+                lhs, rhs = covariance_formula_check(d, alpha, alpha_prime, beta)
+                assert abs(lhs - rhs) <= 1e-7, (
+                    f"{name}: |lhs-rhs| = {abs(lhs - rhs):.2e}")
 
 
 def test_criterion_03_gaussian_fixed_points():
@@ -204,17 +203,22 @@ def test_criterion_06_quadform_algebra():
                 assert_cross_term_matches_finite_differences(m, x, g_terms)
 
 
-def test_criterion_07_negative_moments():
+def test_criterion_07_negative_moments(tmp_path):
     with criterion(7, "negative moments against the chi-square oracle"):
         law = NonnegativeLaw.square_of(catalog_get("gaussian"))
         value = negative_moment(NegMomentQuery(alpha=1.0,
                                                mgf_factors=(law.mgf,) * 4))
         assert abs(value - 0.5) <= 1e-9
-        points = ujmld_trend(law, 1.0, (4, 8, 16, 32, 64))
-        for p in points:
-            assert p.value is not None
-            assert abs(p.value - p.n / (p.n - 2.0)) <= 1e-8
-            assert p.value >= 1.0
+        # the normalized trend n E[S_n^-1] as the CLI's negmoment run writes it
+        rows = run(ExperimentConfig(experiment="negmoment", dist="gaussian",
+                                    n_grid=(4, 8, 16, 32, 64), alpha=1.0,
+                                    out_path=str(tmp_path / "nm.csv")))
+        trend = {r.n: r.estimate for r in rows
+                 if r.estimator == "normalized_trend"}
+        assert sorted(trend) == [4, 8, 16, 32, 64]
+        for n, v in trend.items():
+            assert abs(v - n / (n - 2.0)) <= 1e-8, f"n={n}: trend {v}"
+            assert v >= 1.0
 
 
 def test_criterion_08_gaussian_exact_expression():
@@ -271,10 +275,14 @@ def test_criterion_09_classic_representation_stalls():
 
 def test_criterion_10_mgf_bound():
     with criterion(10, "kernel MGF bound on the uniform law"):
-        points = mgf_bound_check(catalog_get("uniform"),
-                                 [0.1, 0.5, 1.0, 2.0, 5.0, 10.0])
-        for p in points:
-            assert p.ok, f"x={p.x}: lhs {p.lhs} > rhs {p.rhs}"
+        # E[exp(-x tau(X))] <= (1 + x c^2)^(-1/c^2) with c = sup|tau'|
+        u = catalog_get("uniform")
+        c = u.kernel_form.tau_prime_bound
+        xs = np.array([0.1, 0.5, 1.0, 2.0, 5.0, 10.0])
+        lhs = NonnegativeLaw.kernel_of(u).mgf(xs)
+        rhs = (1.0 + xs * c * c) ** (-1.0 / (c * c))
+        for x, left, right in zip(xs, lhs, rhs):
+            assert left <= right + 1e-10, f"x={x}: lhs {left} > rhs {right}"
 
 
 def test_criterion_11_conversions_and_kolmogorov():

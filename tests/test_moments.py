@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from steinfisher import moments
 from steinfisher.distributions import catalog_get
-from steinfisher.errors import (InvalidInput, MissingKernelDerivativeBound,
-                                NotIntegrable)
-from steinfisher.moments import (NegMomentQuery, NonnegativeLaw,
-                                 mgf_bound_check, negative_moment, ujmld_trend)
+from steinfisher.errors import InvalidInput, NotIntegrable
+from steinfisher.moments import NegMomentQuery, NonnegativeLaw, negative_moment
 from steinfisher.streams import substream
 
 GAUSS_SQ = NonnegativeLaw.square_of(catalog_get("gaussian"))
@@ -176,64 +174,76 @@ def test_negative_moment_chi_square_closed_form_near_the_boundary(n, alpha):
 
 
 def test_trend_gaussian_squares_matches_chi_square():
-    points = ujmld_trend(GAUSS_SQ, 1.0, [4, 8, 16, 32, 64])
-    for p in points:
-        assert p.value == pytest.approx(p.n / (p.n - 2.0), abs=1e-8)
-    values = [p.value for p in points]
+    # the normalized trend n^alpha E[(Y_1 + ... + Y_n)^-alpha] at alpha = 1
+    ns = [4, 8, 16, 32, 64]
+    values = [n * negative_moment(NegMomentQuery(alpha=1.0,
+                                                 mgf_factors=(GAUSS_SQ.mgf,) * n))
+              for n in ns]
+    for n, v in zip(ns, values):
+        assert v == pytest.approx(n / (n - 2.0), abs=1e-8)
     assert all(a > b for a, b in zip(values, values[1:]))  # decreasing to 1
     assert all(v >= 1.0 - 1e-9 for v in values)
 
 
 def test_trend_constant_law_is_one():
     one = NonnegativeLaw.constant(1.0)
-    for p in ujmld_trend(one, 1.0, [2, 8, 32]):
-        assert p.value == pytest.approx(1.0, abs=1e-8)
+    for n in [2, 8, 32]:
+        value = negative_moment(NegMomentQuery(alpha=1.0,
+                                               mgf_factors=(one.mgf,) * n))
+        assert n * value == pytest.approx(1.0, abs=1e-8)
 
 
 def test_trend_uniform_kernel_order8():
     law = NonnegativeLaw.kernel_of(catalog_get("uniform"))
-    points = ujmld_trend(law, 8.0, [16, 32, 64], quadrature_tol=1e-11)
-    values = [p.value for p in points]
-    assert all(v is not None for v in values)
+    values = [n ** 8.0 * negative_moment(NegMomentQuery(
+                  alpha=8.0, mgf_factors=(law.mgf,) * n, quadrature_tol=1e-11))
+              for n in [16, 32, 64]]
     assert all(v >= 1.0 - 1e-9 for v in values)
     assert values[0] > values[1] > values[2]  # decreasing toward 1
 
 
-def test_trend_skips_divergent_points():
-    points = ujmld_trend(GAUSS_SQ, 8.0, [4, 32])
-    assert points[0].value is None and "decays" in points[0].note
-    assert points[1].value is not None
+def test_trend_refuses_divergent_points():
+    with pytest.raises(NotIntegrable, match="decays"):
+        negative_moment(NegMomentQuery(alpha=8.0, mgf_factors=(GAUSS_SQ.mgf,) * 4))
+    value = negative_moment(NegMomentQuery(alpha=8.0, mgf_factors=(GAUSS_SQ.mgf,) * 32))
+    assert math.isfinite(32.0 ** 8.0 * value)
+
+
+# E[exp(-x tau(X))] <= (1 + x c^2)^(-1/c^2) when |tau'| <= c almost surely
 
 
 def test_mgf_bound_uniform_grid():
     u = catalog_get("uniform")
-    points = mgf_bound_check(u, [0.1, 0.5, 1.0, 2.0, 5.0, 10.0])
-    assert all(p.ok for p in points)
-    at1 = [p for p in points if p.x == 1.0][0]
-    assert at1.rhs == pytest.approx(4.0 ** (-1.0 / 3.0), abs=1e-12)
-    assert at1.lhs <= at1.rhs
+    c = u.kernel_form.tau_prime_bound
+    xs = np.array([0.1, 0.5, 1.0, 2.0, 5.0, 10.0])
+    lhs = NonnegativeLaw.kernel_of(u).mgf(xs)
+    rhs = (1.0 + xs * c * c) ** (-1.0 / (c * c))
+    assert np.all(lhs <= rhs + 1e-10)
+    assert rhs[2] == pytest.approx(4.0 ** (-1.0 / 3.0), abs=1e-12)  # x = 1
+    assert lhs[2] <= rhs[2]
 
 
 def test_mgf_bound_at_zero_is_trivial():
     u = catalog_get("uniform")
-    p = mgf_bound_check(u, [0.0])[0]
-    assert p.lhs == pytest.approx(1.0, abs=1e-9)
-    assert p.rhs == pytest.approx(1.0, abs=1e-12)
+    c = u.kernel_form.tau_prime_bound
+    assert NonnegativeLaw.kernel_of(u).mgf(0.0) == pytest.approx(1.0, abs=1e-9)
+    assert (1.0 + 0.0 * c * c) ** (-1.0 / (c * c)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_mgf_bound_gaussian_needs_supplied_bound():
-    g = catalog_get("gaussian")
-    with pytest.raises(MissingKernelDerivativeBound):
-        mgf_bound_check(g, [1.0])
-    # a caller-supplied c > 0 still satisfies the inequality here, since
-    # exp(-x) <= (1 + x c^2)^(-1/c^2) for every positive c; report only
-    points = mgf_bound_check(g, [0.5, 5.0, 50.0], c=0.1)
-    assert [p.ok for p in points] == [True, True, True]
+    # the catalog's bound |tau'| <= 0 leaves 1/c^2 undefined, but tau = 1
+    # for the gaussian law, so exp(-x) <= (1 + x c^2)^(-1/c^2) holds for
+    # every positive c a caller supplies
+    assert catalog_get("gaussian").kernel_form.tau_prime_bound == 0.0
+    c = 0.1
+    xs = np.array([0.5, 5.0, 50.0])
+    lhs = NonnegativeLaw.kernel_of(catalog_get("gaussian")).mgf(xs)
+    assert np.all(lhs <= (1.0 + xs * c * c) ** (-1.0 / (c * c)) + 1e-10)
 
 
-def test_mgf_bound_reports_violations_for_understated_c():
-    # uniform needs c = sqrt(3); an understated bound fails and is reported
-    u = catalog_get("uniform")
-    points = mgf_bound_check(u, [1.0, 5.0, 10.0], c=0.5)
-    assert [p.ok for p in points] == [False, False, False]
-    assert all(p.lhs > p.rhs for p in points)
+def test_mgf_bound_fails_for_understated_c():
+    # uniform needs c = sqrt(3); an understated bound fails
+    c = 0.5
+    xs = np.array([1.0, 5.0, 10.0])
+    lhs = NonnegativeLaw.kernel_of(catalog_get("uniform")).mgf(xs)
+    assert np.all(lhs > (1.0 + xs * c * c) ** (-1.0 / (c * c)) + 1e-10)
