@@ -30,7 +30,11 @@ def _unguarded_index(guarded):
 
 
 class ScoreSample:
-    """Column store of ``(F, H, normalizer)`` draws; all estimators take it."""
+    """Column store of ``(F, H, normalizer)`` draws; all estimators take it.
+
+    A sample is read-only once made: the first order-statistic estimator
+    to read it keeps one argsort of ``f``, which the later ones reuse.
+    """
 
     def __init__(self, f, h, aux, guarded):
         self.f = np.asarray(f, dtype=float)
@@ -73,12 +77,33 @@ class ScoreSample:
         ok = _unguarded_index(self.guarded)
         return self.f[ok], self.h[ok]
 
-    def split_half(self):
-        """First half / second half, in draw order (split-sample discipline)."""
-        mid = len(self) // 2
-        a = ScoreSample(self.f[:mid], self.h[:mid], self.aux[:mid], self.guarded[:mid])
-        b = ScoreSample(self.f[mid:], self.h[mid:], self.aux[mid:], self.guarded[mid:])
-        return a, b
+    @functools.cached_property
+    def _order(self):
+        return np.argsort(self.f)
+
+    def sorted_draws(self, lo=0, hi=None):
+        """``(index, f)`` of the unguarded draws ``lo <= i < hi`` in
+        increasing F, ties in draw order: the order a stable argsort of
+        those draws gives.  Refuses a non-finite F.  Callers must not write
+        to them."""
+        order = self._order
+        hi = len(self) if hi is None else hi
+        keep = None if (lo, hi) == (0, len(self)) else (order >= lo) & (order < hi)
+        if self.guarded[lo:hi].any():
+            unguarded = ~self.guarded[order]
+            keep = unguarded if keep is None else keep & unguarded
+        # compress, not a boolean index, which is slow on a random mask
+        index = order if keep is None else np.compress(keep, order)
+        f = self.f[index]
+        # -inf sorts first; inf, then nan, sort last
+        if f.size and not (np.isfinite(f[0]) and np.isfinite(f[-1])):
+            raise InvalidInput("estimators need finite F on unguarded draws")
+        if np.any(f[1:] == f[:-1]):
+            # the kept argsort is not stable: put tied draws in draw order
+            perm = np.lexsort((index, f))
+            index = index[perm]
+            f = f[perm]
+        return index, f
 
 
 def _require_sample(sample) -> ScoreSample:
@@ -101,9 +126,11 @@ def _check_counts(draws: int, guarded: int, minimum: int) -> None:
             f"need at least {minimum} unguarded pairs, have {draws - guarded}")
 
 
-def _checked(sample, minimum: int) -> ScoreSample:
+def _checked(sample, minimum: int, lo=0, hi=None) -> ScoreSample:
+    """``sample``, once :func:`_check_counts` passes its draws ``[lo, hi)``."""
     sample = _require_sample(sample)
-    _check_counts(len(sample), int(sample.guarded.sum()), minimum)
+    guarded = sample.guarded[lo:hi]
+    _check_counts(guarded.size, int(guarded.sum()), minimum)
     return sample
 
 
@@ -223,13 +250,10 @@ class BinnedScore:
         return self.bin_means[idx]
 
 
-def fit_score(sample, bin_config: BinConfig = BinConfig()) -> BinnedScore:
-    """Equal-mass binning of ``-H`` on ``F`` into at most
-    ``n // MIN_BIN_COUNT`` bins of at least ``MIN_BIN_COUNT`` draws each."""
-    sample = _checked(sample, 10 ** 4)
-    f, h = sample.unguarded()
-    order = np.argsort(f, kind="stable")
-    fs, hs = f[order], -h[order]
+def _fit_score(sample, bin_config: BinConfig, lo, hi) -> BinnedScore:
+    index, fs = _checked(sample, 10 ** 4, lo, hi).sorted_draws(lo, hi)
+    hs = sample.h[index]
+    np.negative(hs, out=hs)
     n = fs.size
     # n / bins >= MIN_BIN_COUNT, so every rounded count is at least that
     bins = max(1, min(int(bin_config.bins), n // MIN_BIN_COUNT))
@@ -246,15 +270,34 @@ def fit_score(sample, bin_config: BinConfig = BinConfig()) -> BinnedScore:
     return BinnedScore(bin_edges=edges, bin_means=means, bin_counts=counts)
 
 
+def fit_score(sample, bin_config: BinConfig = BinConfig()) -> BinnedScore:
+    """Equal-mass binning of ``-H`` on ``F`` into at most
+    ``n // MIN_BIN_COUNT`` bins of at least ``MIN_BIN_COUNT`` draws each."""
+    return _fit_score(sample, bin_config, 0, None)
+
+
+def _plugin(sample, score: BinnedScore, lo, hi):
+    """``mean (rho_hat(F) + F)^2`` over the unguarded draws ``[lo, hi)``:
+    evaluated in increasing F, where the bin search narrows, and averaged
+    in draw order."""
+    index, fs = _checked(sample, 10 ** 3, lo, hi).sorted_draws(lo, hi)
+    err = score.evaluate(fs)
+    err += fs
+    err *= err
+    del fs  # before in_order comes, so the peak stays at 24 bytes a draw
+    guarded = sample.guarded[lo:hi]
+    in_order = np.empty(guarded.size)
+    in_order[index - lo] = err
+    return _mean_se(in_order[_unguarded_index(guarded)])
+
+
 def fisher_distance_plugin(sample, score: BinnedScore):
     """Plug-in estimate ``mean (rho_hat(F) + F)^2`` on held-out draws.
 
     The caller must have fitted ``score`` on an independent half of the
     draws; :func:`plugin_split` packages that discipline.
     """
-    sample = _checked(sample, 10 ** 3)
-    f, _ = sample.unguarded()
-    return _mean_se((score.evaluate(f) + f) ** 2)
+    return _plugin(sample, score, 0, None)
 
 
 def plugin_split(sample, bin_config: BinConfig = BinConfig()):
@@ -262,9 +305,9 @@ def plugin_split(sample, bin_config: BinConfig = BinConfig()):
 
     Returns ``(estimate, standard_error, score)``.
     """
-    fit_half, eval_half = _require_sample(sample).split_half()
-    score = fit_score(fit_half, bin_config)
-    est, se = fisher_distance_plugin(eval_half, score)
+    mid = len(_require_sample(sample)) // 2
+    score = _fit_score(sample, bin_config, 0, mid)
+    est, se = _plugin(sample, score, mid, None)
     return est, se, score
 
 
@@ -280,8 +323,9 @@ def density_representation(sample, x_grid) -> DensityEstimate:
     """Estimate the density of ``F`` as ``mean(1{F > x} * H)`` on a grid.
 
     Each draw's cell index counts the grid points below it, so ``f > x_j``
-    exactly when the index exceeds ``j``; per-cell sums of ``h`` and ``h^2``,
-    summed from the right, give every grid point in O(m log G).
+    exactly when the index exceeds ``j``; the cells are read off the
+    sample's sorted F, and per-cell sums of ``h`` and ``h^2``, summed from
+    the right, give every grid point.
     """
     sample = _checked(sample, 10 ** 4)
     grid = np.asarray(x_grid, dtype=float)
@@ -289,9 +333,17 @@ def density_representation(sample, x_grid) -> DensityEstimate:
         raise InvalidInput("x_grid must be 1-D with at least 2 points")
     if not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0.0):
         raise InvalidInput("x_grid must be finite and strictly increasing")
-    f, h = sample.unguarded()
-    m = f.size
-    cells = np.searchsorted(grid, f, side="left")
+    index, fs = sample.sorted_draws()
+    m = fs.size
+    # the draws with cell j sit at sorted places bounds[j - 1]:bounds[j];
+    # their cells are written in draw order, with no sorted copy of them
+    bounds = [0, *np.searchsorted(fs, grid, side="right").tolist(), m]
+    del fs  # before cells comes, so the peak stays at 24 bytes a draw
+    cells = np.empty(len(sample), dtype=np.intp)
+    for j in range(grid.size + 1):
+        cells[index[bounds[j]:bounds[j + 1]]] = j
+    ok = _unguarded_index(sample.guarded)
+    cells, h = cells[ok], sample.h[ok]
 
     def sum_above(w):
         per_cell = np.bincount(cells, weights=w, minlength=grid.size + 1)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,6 +94,139 @@ def test_estimators_match_the_masked_path(guard_one, monkeypatch):
         s.f[~s.guarded], s.h[~s.guarded]))
     for u, v in zip(fast, results()):
         assert np.array_equal(u, v)
+
+
+def reference_fit(f, h, bins):
+    """``fit_score`` on unguarded ``(f, h)`` as it ran before samples kept
+    an order of F: a stable argsort of the draws it bins."""
+    order = np.argsort(f, kind="stable")
+    fs, hs = f[order], -h[order]
+    n = fs.size
+    bins = max(1, min(bins, n // MIN_BIN_COUNT))
+    cut = np.round(np.linspace(0, n, bins + 1)).astype(int)
+    means = np.add.reduceat(hs, cut[:-1]) / np.diff(cut)
+    edges = np.concatenate(([fs[0]], fs[np.minimum(cut[1:-1], n - 1)], [fs[-1]]))
+    for i in range(1, edges.size):
+        if edges[i] <= edges[i - 1]:
+            edges[i] = np.nextafter(edges[i - 1], np.inf)
+    return edges, means
+
+
+def reference_plugin(f, edges, means):
+    """The plug-in on unguarded ``f``, bins searched draw by draw."""
+    idx = np.clip(np.searchsorted(edges[1:-1], f, side="right"), 0, means.size - 1)
+    err = (means[idx] + f) ** 2
+    return float(err.mean()), float(err.std(ddof=1) / math.sqrt(err.size))
+
+
+def reference_density(f, h, grid):
+    """The density on unguarded ``(f, h)``, cells searched draw by draw."""
+    cells = np.searchsorted(grid, f, side="left")
+    s1, s2 = (np.cumsum(np.bincount(cells, weights=w, minlength=grid.size + 1)
+                        [::-1])[-2::-1] for w in (h, h * h))
+    m = f.size
+    values = s1 / m
+    ses = np.sqrt(np.maximum((s2 - s1 * values) / (m - 1), 0.0)) / math.sqrt(m)
+    return values, ses
+
+
+REFERENCE_GRID = np.linspace(-4.0, 4.0, 201)
+
+
+def reference_case(name):
+    rng = np.random.default_rng(29)
+    m = 40_001 if name == "odd" else 40_000
+    f = rng.standard_normal(m)
+    guarded = np.zeros(m, dtype=bool)
+    if name == "rounded":
+        f = np.round(f, 2)
+    elif name == "guarded":
+        guarded[rng.choice(m, 300, replace=False)] = True
+        assert guarded[:m // 2].any() and guarded[m // 2:].any()
+    elif name == "on_grid":
+        f[::4] = REFERENCE_GRID[rng.integers(0, REFERENCE_GRID.size, m // 4)]
+    h = np.where(guarded, np.nan, -f + 0.5 * rng.standard_normal(m))
+    return ScoreSample(f=f, h=h, aux=np.ones(m), guarded=guarded)
+
+
+@pytest.mark.parametrize("name", ["rounded", "guarded", "on_grid", "odd"])
+def test_sorted_estimators_match_the_draw_order_reference(name):
+    # the estimators read one kept argsort of F; the reference sorts each
+    # half stably and searches unsorted draws, and every bit must agree
+    sample = reference_case(name)
+    ok, mid = ~sample.guarded, len(sample) // 2
+    first = np.arange(len(sample)) < mid
+    second = ~first
+    if name == "rounded":
+        # ties that numpy's default argsort leaves out of draw order
+        f1 = sample.f[:mid]
+        assert not np.array_equal(np.argsort(f1), np.argsort(f1, kind="stable"))
+    edges, means = reference_fit(sample.f[ok & first], sample.h[ok & first], 256)
+    est, se, score = plugin_split(sample, BinConfig(bins=256))
+    assert np.array_equal(score.bin_edges, edges)
+    assert np.array_equal(score.bin_means, means)
+    assert (est, se) == reference_plugin(sample.f[ok & second], edges, means)
+
+    edges, means = reference_fit(sample.f[ok], sample.h[ok], 64)
+    whole = fit_score(sample)
+    assert np.array_equal(whole.bin_edges, edges)
+    assert np.array_equal(whole.bin_means, means)
+    assert fisher_distance_plugin(sample, whole) == reference_plugin(
+        sample.f[ok], edges, means)
+
+    density = density_representation(sample, REFERENCE_GRID)
+    values, ses = reference_density(sample.f[ok], sample.h[ok], REFERENCE_GRID)
+    assert np.array_equal(density.values, values)
+    assert np.array_equal(density.std_errors, ses)
+
+
+def test_plugin_and_density_sort_f_once(monkeypatch):
+    sample = synthetic_sample(guard_one=True)
+    calls = []
+    argsort = np.argsort
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return argsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counted)
+    plugin_split(sample)
+    density_representation(sample, REFERENCE_GRID)
+    assert calls == [{}]
+
+
+def test_plugin_and_density_memory_per_draw():
+    # 8 bytes a draw for the kept order of F and 16 transient (the
+    # density's draw-order cells and h^2); the fixed 32 KiB holds the
+    # arrays the size of the grid and the bins
+    sample = gaussian_sum_sample(reps=200_000)
+    tracemalloc.start()
+    try:
+        plugin_split(sample)
+        density_representation(sample, REFERENCE_GRID)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * len(sample) + 32 * 1024
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [1_000, 30_000])
+@pytest.mark.parametrize("estimator", [
+    fit_score, plugin_split,
+    lambda s: fisher_distance_plugin(s, fit_score(synthetic_sample(False))),
+    lambda s: density_representation(s, REFERENCE_GRID),
+])
+def test_order_statistic_estimators_refuse_non_finite_f(estimator, where, bad):
+    # draw 1_000 is in plugin_split's fitting half, draw 30_000 in its
+    # held-out half; the guarded draw 123's F is never read
+    sample = synthetic_sample(guard_one=True)
+    f = sample.f.copy()
+    f[123] = bad
+    estimator(ScoreSample(f, sample.h, sample.aux, sample.guarded))
+    f[where] = bad
+    with pytest.raises(InvalidInput, match="finite F"):
+        estimator(ScoreSample(f, sample.h, sample.aux, sample.guarded))
 
 
 def test_upper_gaussian_fixed_point_and_adversarial():
@@ -229,7 +363,9 @@ def test_plugin_gaussian_noise_floor_and_split_discipline():
     est, se, score = plugin_split(sample)
     assert est <= 0.01
     # the fitted score must come from the first half only
-    first, second = sample.split_half()
+    mid = len(sample) // 2
+    first = ScoreSample(sample.f[:mid], sample.h[:mid], sample.aux[:mid],
+                        sample.guarded[:mid])
     refit = fit_score(first)
     assert np.array_equal(refit.bin_edges, score.bin_edges)
     assert np.array_equal(refit.bin_means, score.bin_means)
