@@ -162,11 +162,13 @@ class UpperAccumulator:
         block gives their bits."""
         sample = _require_sample(sample)
         f, h = sample.unguarded()
-        d = h - f
-        np.multiply(d, d, out=d)
-        mean = float(d.mean()) if d.size else 0.0
-        d -= mean
-        m2 = float(np.multiply(d, d, out=d).sum())
+        # a non-finite F or H leaves mean or m2 non-finite, which finish refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = h - f
+            np.multiply(d, d, out=d)
+            mean = float(d.mean()) if d.size else 0.0
+            d -= mean
+            m2 = float(np.multiply(d, d, out=d).sum())
         return cls(len(sample), len(sample) - d.size, mean, m2)
 
     def merge(self, other: "UpperAccumulator") -> "UpperAccumulator":
@@ -186,8 +188,14 @@ class UpperAccumulator:
 
     def finish(self):
         """``(estimate, standard_error, guarded_fraction)``; refused when more
-        than 1% of the draws are guarded or fewer than 1000 are not."""
+        than 1% of the draws are guarded or fewer than 1000 are not, and
+        when an unguarded draw's ``F`` or ``H`` is not finite (which leaves
+        ``mean`` or ``m2`` non-finite)."""
         _check_counts(self.draws, self.guarded, 10 ** 3)
+        if not (math.isfinite(self.mean) and math.isfinite(self.m2)):
+            raise InvalidInput(
+                "the upper bound needs finite F, H and (H - F)^2 on "
+                "unguarded draws")
         n = self.draws - self.guarded
         return (self.mean, math.sqrt(self.m2 / (n - 1)) / math.sqrt(n),
                 self.guarded / self.draws)

@@ -5,13 +5,14 @@ the MGF integral, and the MGF-described nonnegative laws they are taken of.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .distributions import DistributionSpec
+from .distributions import DistributionSpec, _erf, _erfc_far, _erfc_near
 from .errors import InvalidInput, NotIntegrable
 from .quadrature import integrate, integrate_half_line
 
@@ -24,6 +25,7 @@ _PROBE_POINTS = (1e3, 1e6)
 _PROBE_MARGIN = 1e-3
 # u^(1/alpha) overflows for small alpha, and an MGF at inf gives nan.
 _MAX_ABSCISSA = 1e300
+_HALF_SQRT_PI = 0.5 * math.sqrt(math.pi)
 
 
 @dataclass(frozen=True)
@@ -54,14 +56,23 @@ class NegMomentQuery:
 
 def _log_product(factors, xs: np.ndarray) -> np.ndarray:
     """``sum_k log factor_k(xs)`` at each abscissa, -inf once a factor is
-    at or below 0."""
+    at or below 0.
+
+    A run of consecutive identical factors (the ``(law.mgf,) * n`` of a
+    sum of ``n`` copies of one law) is evaluated once, and its log added
+    once per factor, in order, so the sum has the bits of ``n`` separate
+    calls whether the factors are one object or ``n`` wrappers of it.
+    """
     log_prod = np.zeros_like(xs)
     live = np.ones_like(xs, dtype=bool)
-    for fac in factors:
-        vals = np.asarray(fac(xs), dtype=float)
+    for _, run in itertools.groupby(factors, key=id):
+        run = list(run)
+        vals = np.asarray(run[0](xs), dtype=float)
         live &= vals > 0.0
         with np.errstate(divide="ignore"):
-            log_prod = np.where(live, log_prod + np.log(np.where(vals > 0, vals, 1.0)), -np.inf)
+            log_vals = np.log(np.where(vals > 0, vals, 1.0))
+        for _ in run:
+            log_prod = np.where(live, log_prod + log_vals, -np.inf)
     return log_prod
 
 
@@ -124,16 +135,36 @@ def _square_peak_breaks(v):
     return (-r, 0.0, r)
 
 
+def _cached_mgf(values: Callable):
+    """The MGF ``x -> values(x)`` of an array function ``values``.
+
+    The values of the last 8 abscissa arrays are kept, keyed by the bytes
+    of the array, so the ``n`` factors of a negative-moment query, or ``n``
+    wrappers of one factor, evaluate each abscissa array once.  Array calls
+    return the cached arrays, which are read-only.
+    """
+    @functools.lru_cache(maxsize=8)
+    def cached(key: bytes) -> np.ndarray:
+        vals = np.asarray(values(np.frombuffer(key)), dtype=float)
+        vals.setflags(write=False)
+        return vals
+
+    def mgf(x):
+        vals = cached(np.atleast_1d(np.asarray(x, dtype=float)).tobytes())
+        return vals if np.ndim(x) else float(vals[0])
+
+    return mgf
+
+
 def _quadrature_mgf(dist: DistributionSpec, exponent: Callable,
                     breaks: Callable = lambda v: ()):
-    """MGF ``x -> E[exp(exponent(x, X))]`` of a law given by its density.
+    """Cached MGF ``x -> E[exp(exponent(x, X))]`` of a law given by its
+    density: ``square_of`` for inputs other than gaussian and uniform,
+    whose squares have closed forms, and every ``kernel_of``.
 
     Each abscissa ``v`` costs one adaptive integral (tolerance 1e-12) over
-    ``dist.quad_window``, split at the points of ``breaks(v)`` inside it.
-    The values of the last 8 abscissa arrays are kept, keyed by the bytes
-    of the array, so the ``n`` identical factors of a negative-moment query
-    integrate each abscissa once.  Array calls return the cached arrays,
-    which are read-only.
+    ``dist.quad_window``, split at the points of ``breaks(v)`` inside it;
+    :func:`_cached_mgf` keeps the values.
     """
     wlo, whi = dist.quad_window
 
@@ -143,17 +174,27 @@ def _quadrature_mgf(dist: DistributionSpec, exponent: Callable,
                              a, b, tol=1e-12)
                    for a, b in zip(edges, edges[1:]))
 
-    @functools.lru_cache(maxsize=8)
-    def values(key: bytes) -> np.ndarray:
-        vals = np.array([value(v) for v in np.frombuffer(key)])
-        vals.setflags(write=False)
-        return vals
+    return _cached_mgf(lambda vs: np.array([value(v) for v in vs]))
 
-    def mgf(x):
-        vals = values(np.atleast_1d(np.asarray(x, dtype=float)).tobytes())
-        return vals if np.ndim(x) else float(vals[0])
 
-    return mgf
+def _uniform_square_mgf(v):
+    """``E[exp(-v X^2)]`` for ``X`` uniform on ``[-sqrt3, sqrt3]``, ``v >= 0``:
+    ``sqrt(pi / (12 v)) erf(sqrt(3 v))``, which is ``sqrt(pi) / 2`` times
+    ``erf(z) / z`` at ``z = sqrt(3 v)``.
+
+    Below ``z = 1`` the cephes ratio for ``erf`` keeps full relative
+    precision as ``v -> 0``; above it ``erf`` is one minus cephes ``erfc``.
+    Exactly 1 at ``v = 0``; nan stays nan.
+    """
+    z = np.sqrt(3.0 * np.asarray(v, dtype=float))
+    out = np.where(z == 0.0, 1.0, np.nan)
+    for mask, erf in (((0.0 < z) & (z < 1.0), _erf),
+                      ((1.0 <= z) & (z < 8.0), lambda t: 1.0 - _erfc_near(t)),
+                      (z >= 8.0, lambda t: 1.0 - _erfc_far(t))):
+        if mask.any():
+            t = z[mask]
+            out[mask] = _HALF_SQRT_PI * erf(t) / t
+    return out
 
 
 @dataclass(frozen=True)
@@ -172,10 +213,16 @@ class NonnegativeLaw:
 
     @classmethod
     def square_of(cls, dist: DistributionSpec) -> "NonnegativeLaw":
-        """Law of ``X^2`` for a standardized input (so ``E[X^2] = 1``)."""
+        """Law of ``X^2`` for a standardized input (so ``E[X^2] = 1``).
+
+        The MGF is a closed form for gaussian and uniform inputs, and a
+        cached quadrature (:func:`_quadrature_mgf`) for any other law.
+        """
         if dist.name == "gaussian":
             return cls(name="gaussian_square",
                        mgf=lambda x: (1.0 + 2.0 * np.asarray(x, dtype=float)) ** -0.5)
+        if dist.name == "uniform":
+            return cls(name="uniform_square", mgf=_cached_mgf(_uniform_square_mgf))
         return cls(name=f"square_of({dist.name})",
                    mgf=_quadrature_mgf(dist, lambda v, y: -v * y * y,
                                        _square_peak_breaks))

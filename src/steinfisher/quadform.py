@@ -373,32 +373,44 @@ def gaussian_negative_moment_norm(matrix: CoefficientMatrix,
 
 
 def gaussian_negative_moment_norm_mc(matrix: CoefficientMatrix, order: float,
-                                     stream, reps: int) -> float:
-    """Monte Carlo ``|| sigma^2 Theta^-1 ||_order`` over Gaussian draws.
+                                     stream, reps: int) -> tuple:
+    """Monte Carlo ``|| sigma^2 Theta^-1 ||_order`` over Gaussian draws, as
+    ``(value, standard_error)``.
 
     Each draw factors as radius times direction; the radial moment
     ``E[(chi2_n)^(-order)]`` is integrated exactly, so only the bounded
     sphere functional ``||A u||^(-2 order)`` is averaged.  This keeps the
     estimator's variance finite, which the plain average of
     ``(sigma^2 / Theta)^order`` does not (its tail index is n / (2 order)).
+    The standard error is the sphere-functional mean's, carried through
+    ``mean ** (1 / order)`` by the delta method, so it needs two draws.
     Like the exact norm, it is computed on the unit-scaled A.
     """
     _check_order(order)
     n = matrix.n
     if n / 2.0 <= order:
         raise NotIntegrable(f"n={n} Gaussian draws cannot support order {order}")
+    sizes = chunk_sizes(reps, _draw_block(n))
+    count = sum(sizes)
+    if count < 2:
+        raise InvalidInput("a standard error needs at least 2 draws")
     matrix = _unit_scaled(matrix)[0]
     a = matrix.entries
     log_radial = math.lgamma(n / 2.0 - order) - math.lgamma(n / 2.0)
-    total = 0.0
-    # Row blocks of a C-order fill take the stream in the same order as
-    # one whole (reps, n) draw.
-    for m in chunk_sizes(reps, _draw_block(n)):
+    # (draws, mean, summed squared deviations) of each block; row blocks of
+    # a C-order fill take the stream in the same order as one whole
+    # (reps, n) draw.
+    blocks = []
+    for m in sizes:
         x = stream.standard_normal((m, n))
         u = x / np.linalg.norm(x, axis=1, keepdims=True)
-        total += float((np.linalg.norm(u @ a, axis=1) ** (-2.0 * order)).sum())
-    mean = total / int(reps) * math.exp(log_radial)
-    return matrix.sigma2 * mean ** (1.0 / order)
+        values = np.linalg.norm(u @ a, axis=1) ** (-2.0 * order)
+        block_mean = float(values.mean())
+        blocks.append((m, block_mean, float(np.square(values - block_mean).sum())))
+    mean = sum(m * mu for m, mu, _ in blocks) / count
+    m2 = sum(ss + m * (mu - mean) ** 2 for m, mu, ss in blocks)
+    value = matrix.sigma2 * (mean * math.exp(log_radial)) ** (1.0 / order)
+    return value, value * math.sqrt(m2 / (count - 1) / count) / (order * mean)
 
 
 def fisher_bound_factor(model: QuadFormModel, neg_norm8: float) -> float:

@@ -234,11 +234,13 @@ def test_criterion_08_gaussian_exact_expression():
             np.random.SeedSequence(entropy=196, spawn_key=key)))
         mat = CoefficientMatrix(np.triu(gen.uniform(-1, 1, (20, 20)), 1))
         quad_value = gaussian_negative_moment_norm(mat, 8.0)
-        mc_value = gaussian_negative_moment_norm_mc(
+        mc_value, mc_se = gaussian_negative_moment_norm_mc(
             mat, 8.0, substream(808, "mc"), 10 ** 6)
         rel = abs(mc_value - quad_value) / quad_value
-        print(f"  quad {quad_value:.6f} mc {mc_value:.6f} rel {rel:.4f}")
+        print(f"  quad {quad_value:.6f} mc {mc_value:.6f} ± {mc_se:.6f} "
+              f"rel {rel:.4f}")
         assert rel <= 0.05
+        assert abs(mc_value - quad_value) <= 4.0 * mc_se
 
 
 def test_criterion_09_classic_representation_stalls():

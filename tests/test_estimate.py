@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -324,6 +325,36 @@ def test_draw_counts_are_checked_once_merged():
         f=f, h=f + 0.5, aux=np.ones_like(f), guarded=np.zeros(16384, bool)))
     est, se, gf = full.merge(short).finish()
     assert (est, se, gf) == (0.25, 0.0, 5 / 16484)
+
+
+@pytest.mark.parametrize("column", ["f", "h"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_upper_refuses_non_finite_draws(column, bad):
+    # one unguarded draw with a non-finite F or H once gave (nan, nan, 0.0)
+    rng = np.random.default_rng(58)
+    f = rng.standard_normal(40_000)
+    cols = {"f": f, "h": -f + 0.1 * rng.standard_normal(f.size)}
+    cols[column][25_000] = bad
+    ones, clear = np.ones_like(f), np.zeros(f.size, dtype=bool)
+    with pytest.raises(InvalidInput, match="finite"):
+        fisher_distance_upper(ScoreSample(cols["f"], cols["h"], ones, clear))
+    # four 10 000-draw blocks, the bad draw in the third, merged either way
+    accs = [UpperAccumulator.of(ScoreSample(*(c[a:a + 10_000] for c in
+                                              (cols["f"], cols["h"], ones, clear))))
+            for a in range(0, f.size, 10_000)]
+    for order in (accs, accs[::-1]):
+        with pytest.raises(InvalidInput, match="finite"):
+            functools.reduce(UpperAccumulator.merge, order).finish()
+
+
+def test_upper_refuses_an_overflowing_square():
+    f = np.zeros(2000)
+    h = np.full(2000, 0.5)
+    h[7] = 1e200  # (H - F)^2 overflows though H is finite
+    sample = ScoreSample(f=f, h=h, aux=np.ones_like(f),
+                         guarded=np.zeros(f.size, dtype=bool))
+    with pytest.raises(InvalidInput, match="finite"):
+        fisher_distance_upper(sample)
 
 
 def test_fit_score_merges_undersized_bins():

@@ -76,26 +76,67 @@ def test_mgf_integrates_each_abscissa_once(monkeypatch):
         return integrate(*args, **kwargs)
 
     monkeypatch.setattr(moments, "integrate", counted)
-    law = NonnegativeLaw.square_of(catalog_get("uniform"))
+    law = NonnegativeLaw.square_of(catalog_get("exponential_centered"))
     seen = []
 
     def recorded(x):
         seen.append(np.array(x, dtype=float))
         return law.mgf(x)
 
-    negative_moment(NegMomentQuery(alpha=1.0, mgf_factors=(recorded,) * 32))
+    query = NegMomentQuery(alpha=1.0, mgf_factors=(recorded,) * 32)
+    seen.clear()
+    calls.clear()
+    negative_moment(query)
     query_calls = len(calls)
     distinct = {a.tobytes(): a for a in seen}
-    assert len(seen) == 32 * len(distinct)
+    # the 32 identical factors are one run, evaluated once per abscissa array
+    assert len(seen) == len(distinct)
     # one evaluation of each distinct abscissa array on a fresh law does the
     # same quadrature work as the whole 32-factor query
     calls.clear()
-    fresh = NonnegativeLaw.square_of(catalog_get("uniform"))
+    fresh = NonnegativeLaw.square_of(catalog_get("exponential_centered"))
     for a in distinct.values():
         fresh.mgf(a)
     assert query_calls == len(calls)
     abscissae = sum(a.size for a in distinct.values())
     assert abscissae <= query_calls <= 4 * abscissae  # at most 4 pieces each
+
+
+@pytest.mark.parametrize("v", [1e-300, 1e-12, 1e-6, 0.1, 1.0, 10.0, 1e3, 1e6,
+                               1e12])
+def test_uniform_square_closed_form_matches_quadrature(v):
+    # the retained quadrature path is the oracle, so the check stays
+    # independent of the erf pieces it checks
+    uniform = catalog_get("uniform")
+    quadrature = moments._quadrature_mgf(uniform, lambda v, y: -v * y * y,
+                                         moments._square_peak_breaks)
+    closed = NonnegativeLaw.square_of(uniform).mgf
+    assert closed(v) == pytest.approx(quadrature(v), rel=1e-14, abs=0.0)
+
+
+def test_uniform_square_closed_form_at_zero_and_on_arrays():
+    mgf = NonnegativeLaw.square_of(catalog_get("uniform")).mgf
+    assert mgf(0.0) == 1.0
+    xs = np.array([0.0, 1e-300, 0.2, 1.0 / 3.0, 21.4, 1e6])
+    assert [mgf(float(x)) for x in xs] == list(mgf(xs))
+    assert np.all(np.diff(mgf(xs)) <= 0.0)
+
+
+@pytest.mark.parametrize("name", ["uniform", "exponential_centered"])
+def test_wrapped_factors_give_the_same_bits(name):
+    # a tracer wraps each factor separately; the bits must not depend on
+    # whether the factors are one object or distinct wrappers of it
+    law = NonnegativeLaw.square_of(catalog_get(name))
+    n = 32  # a log multiplied by n, not added n times, moves both laws' bits
+
+    def wrapped():
+        return lambda x: law.mgf(x)
+
+    shared = negative_moment(NegMomentQuery(alpha=1.0,
+                                            mgf_factors=(law.mgf,) * n))
+    separate = negative_moment(NegMomentQuery(
+        alpha=1.0, mgf_factors=tuple(wrapped() for _ in range(n))))
+    assert shared == separate
 
 
 @pytest.mark.parametrize("make", [NonnegativeLaw.square_of,

@@ -136,6 +136,9 @@ BAD_VALUES = [
     pytest.param(lambda: gaussian_negative_moment_norm_mc(
         banded_coefficients(40), 8.0, substream(5), 0),
                  id="mc-norm-zero-reps"),
+    pytest.param(lambda: gaussian_negative_moment_norm_mc(
+        banded_coefficients(40), 8.0, substream(5), 1),
+                 id="mc-norm-one-rep"),
     # int() once truncated these to 2 and 1 draws
     pytest.param(lambda: chunk_sizes(2.5), id="chunk-sizes-fraction"),
     pytest.param(lambda: chunk_sizes(True), id="chunk-sizes-bool"),

@@ -566,9 +566,30 @@ def test_gaussian_negative_moment_norm_mc_agrees():
     rng = np.random.default_rng(1712)
     m = CoefficientMatrix(np.triu(rng.uniform(-1, 1, (20, 20)), 1))
     quad_value = gaussian_negative_moment_norm(m, 8.0)
-    mc_value = gaussian_negative_moment_norm_mc(m, 8.0, substream(8, "mc"),
-                                                200_000)
+    mc_value, mc_se = gaussian_negative_moment_norm_mc(m, 8.0,
+                                                       substream(8, "mc"),
+                                                       200_000)
     assert mc_value == pytest.approx(quad_value, rel=0.05)
+    assert abs(mc_value - quad_value) <= 4.0 * mc_se
+
+
+def test_gaussian_negative_moment_norm_mc_standard_error():
+    # the blocks' sums give one pass over every draw: the sphere-functional
+    # mean's standard error, carried through mean ** (1 / order)
+    m = banded_coefficients(40)
+    reps = 2 * quadform._draw_block(40) + 777
+    value, se = gaussian_negative_moment_norm_mc(m, 8.0, substream(4, "mc-se"),
+                                                 reps)
+    scaled = quadform._unit_scaled(m)[0]
+    x = substream(4, "mc-se").standard_normal((reps, 40))
+    u = x / np.linalg.norm(x, axis=1, keepdims=True)
+    sphere = np.linalg.norm(u @ scaled.entries, axis=1) ** -16.0
+    radial = math.exp(math.lgamma(20.0 - 8.0) - math.lgamma(20.0))
+    want = scaled.sigma2 * (sphere.mean() * radial) ** (1.0 / 8.0)
+    want_se = (want / (8.0 * sphere.mean())
+               * sphere.std(ddof=1) / math.sqrt(reps))
+    assert value == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert se == pytest.approx(want_se, rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize("scale", [1e-170, 0.75, 3.0, 1e110])
@@ -578,11 +599,12 @@ def test_gaussian_negative_moment_norms_are_scale_free(scale):
     base, scaled = CoefficientMatrix(a), CoefficientMatrix(scale * a)
     assert gaussian_negative_moment_norm(scaled, 4.0) == pytest.approx(
         gaussian_negative_moment_norm(base, 4.0), rel=1e-12)
-    mc_base, mc_scaled = (
+    (mc_base, se_base), (mc_scaled, se_scaled) = (
         gaussian_negative_moment_norm_mc(m, 4.0, substream(9, "mc-scale"),
                                          20_000)
         for m in (base, scaled))
     assert mc_scaled == pytest.approx(mc_base, rel=1e-12)
+    assert se_scaled == pytest.approx(se_base, rel=1e-12)
 
 
 def test_gaussian_negative_moment_norm_mc_memory_stays_bounded():
