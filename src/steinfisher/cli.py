@@ -557,6 +557,10 @@ def main(argv=None) -> int:
                 print(_error_object(kind, detail(exc)), file=sys.stderr)
                 return code
         raise
+    except MemoryError as exc:
+        # numpy's message names the allocation that failed
+        print(_error_object("memory", str(exc)), file=sys.stderr)
+        return 3
     return 0
 
 

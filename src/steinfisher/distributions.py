@@ -111,18 +111,29 @@ def ndtr(a):
     return y[()]
 
 
+def scratch_ufunc(ufunc, x):
+    """``ufunc(x)`` in a new float array, 0-d for a scalar ``x``, so that a
+    kernel can finish its value in place and return it with ``[()]``."""
+    x = np.asarray(x, dtype=float)
+    return ufunc(x, out=np.empty_like(x))
+
+
 @dataclass(frozen=True)
 class SteinKernelForm:
     """Closed-form Stein kernel ``tau`` and its derivative.
 
     Each takes an array and returns a new float array of its shape, which
     the caller may write.
+    ``pearson`` is the standardized Pearson pair ``(b, c)`` with
+    ``tau(x) = 1 + b x + c (x^2 - 1)``: a constant kernel when both are 0,
+    an affine one, ``tau' = b``, when only ``c`` is.
     ``tau_prime_bound`` is an almost-sure bound ``c`` with ``|tau'| <= c``
     when one exists.
     """
 
     tau: Callable
     tau_prime: Callable
+    pearson: tuple
     tau_prime_bound: Optional[float] = None
 
 
@@ -169,6 +180,7 @@ def _gaussian() -> DistributionSpec:
         kernel_form=SteinKernelForm(
             tau=lambda x: np.ones_like(np.asarray(x, dtype=float)),
             tau_prime=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+            pearson=(0.0, 0.0),
             tau_prime_bound=0.0,
         ),
         cdf=ndtr,
@@ -185,7 +197,17 @@ def _uniform() -> DistributionSpec:
         return np.where((x >= lo) & (x <= hi), pdf_val, 0.0)
 
     def sampler(stream, size=None):
-        return lo + (hi - lo) * stream.random(size)
+        # lo + (hi - lo) u, in the generator's buffer
+        u = np.asarray(stream.random(size))
+        u *= hi - lo
+        u += lo
+        return u[()]
+
+    def tau(x):
+        t = scratch_ufunc(np.square, x)
+        np.subtract(3.0, t, out=t)
+        t *= 0.5
+        return t[()]
 
     return DistributionSpec(
         name="uniform",
@@ -193,8 +215,9 @@ def _uniform() -> DistributionSpec:
         log_density_derivative=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         sampler=sampler,
         kernel_form=SteinKernelForm(
-            tau=lambda x: 0.5 * (3.0 - np.square(np.asarray(x, dtype=float))),
+            tau=tau,
             tau_prime=lambda x: -np.asarray(x, dtype=float),
+            pearson=(0.0, -0.5),
             tau_prime_bound=_SQRT3,
         ),
         cdf=lambda x: np.clip((np.asarray(x, dtype=float) - lo) / (hi - lo), 0.0, 1.0),
@@ -208,7 +231,12 @@ def _exponential_centered() -> DistributionSpec:
         return np.where(y >= -1.0, np.exp(-np.clip(y + 1.0, 0.0, None)), 0.0)
 
     def sampler(stream, size=None):
-        return -np.log1p(-stream.random(size)) - 1.0
+        # -log1p(-u) - 1, in the generator's buffer
+        u = np.asarray(stream.random(size))
+        np.negative(u, out=u)
+        np.log1p(u, out=u)
+        np.subtract(-1.0, u, out=u)
+        return u[()]
 
     def cdf(y):
         y = np.asarray(y, dtype=float)
@@ -222,6 +250,7 @@ def _exponential_centered() -> DistributionSpec:
         kernel_form=SteinKernelForm(
             tau=lambda y: np.asarray(y, dtype=float) + 1.0,
             tau_prime=lambda y: np.ones_like(np.asarray(y, dtype=float)),
+            pearson=(1.0, 0.0),
             tau_prime_bound=1.0,
         ),
         cdf=cdf,
@@ -257,9 +286,20 @@ def _student_t(beta: float) -> DistributionSpec:
         return -(beta + 1.0) * x / (x * x + beta - 2.0)
 
     def sampler(stream, size=None):
-        z = stream.standard_normal(size)
-        v = stream.chisquare(beta, size)
-        return z * np.sqrt((beta - 2.0) / v)
+        # z sqrt((beta - 2) / v), in the generators' buffers
+        z = np.asarray(stream.standard_normal(size))
+        v = np.asarray(stream.chisquare(beta, size))
+        np.divide(beta - 2.0, v, out=v)
+        np.sqrt(v, out=v)
+        z *= v
+        return z[()]
+
+    def tau(x):
+        t = scratch_ufunc(np.square, x)
+        t += beta
+        t -= 2.0
+        t /= beta - 1.0
+        return t[()]
 
     edge = scale * math.sqrt(beta * math.expm1(
         2.0 * (log_norm - math.log(DENSITY_FLOOR * scale)) / (beta + 1.0)))
@@ -269,8 +309,9 @@ def _student_t(beta: float) -> DistributionSpec:
         log_density_derivative=score,
         sampler=sampler,
         kernel_form=SteinKernelForm(
-            tau=lambda x: (np.square(np.asarray(x, dtype=float)) + beta - 2.0) / (beta - 1.0),
+            tau=tau,
             tau_prime=lambda x: 2.0 * np.asarray(x, dtype=float) / (beta - 1.0),
+            pearson=(0.0, 1.0 / (beta - 1.0)),
             tau_prime_bound=None,
         ),
         cdf=lambda x: special.stdtr(beta, np.asarray(x, dtype=float) / scale),

@@ -50,9 +50,13 @@ class ScoreSample:
         ``Gamma = normalizer`` and ``Gamma_{Gamma,G} = cross``; draws with
         ``|Gamma| < GUARD`` are guarded and carry ``h = nan``."""
         guarded = np.abs(normalizer) < GUARD
-        ok = _unguarded_index(guarded)
-        h = np.full_like(f, np.nan)
-        h[ok] = g[ok] / normalizer[ok] + cross[ok] / normalizer[ok] ** 2
+        if guarded.any():
+            ok = ~guarded
+            h = np.full_like(f, np.nan)
+            h[ok] = g[ok] / normalizer[ok] + cross[ok] / normalizer[ok] ** 2
+        else:
+            h = g / normalizer
+            h += cross / normalizer ** 2
         return cls(f=f, h=h, aux=normalizer, guarded=guarded)
 
     @classmethod

@@ -17,7 +17,8 @@ from typing import Callable, Optional
 import numpy as np
 
 # bench/tracing.py wraps the ``sample_columns`` binding; no draw here calls it.
-from .distributions import chunk_sizes, draw_count, sample_columns
+from .distributions import (chunk_sizes, draw_count, sample_columns,
+                            scratch_ufunc)
 from .errors import DegenerateVariance, InvalidInput
 from .estimate import ScoreSample, readout_models, reduce_draw
 
@@ -48,21 +49,38 @@ def identity_link() -> SmoothLink:
 
 
 def sin_link() -> SmoothLink:
+    def h_second(x):
+        s = scratch_ufunc(np.sin, x)
+        np.negative(s, out=s)
+        return s[()]
+
     return SmoothLink(
         name="sin",
-        h=np.sin, h_prime=np.cos,
-        h_second=lambda x: -np.sin(np.asarray(x, dtype=float)),
+        h=np.sin, h_prime=np.cos, h_second=h_second,
         h_prime_at_0=1.0,
     )
 
 
 def tanh_link() -> SmoothLink:
+    def h_prime(x):
+        # 1 / cosh(x)^2
+        c = scratch_ufunc(np.cosh, x)
+        np.square(c, out=c)
+        np.divide(1.0, c, out=c)
+        return c[()]
+
+    def h_second(x):
+        # -2 tanh(x) / cosh(x)^2
+        t = scratch_ufunc(np.tanh, x)
+        t *= -2.0
+        c = scratch_ufunc(np.cosh, x)
+        np.square(c, out=c)
+        t /= c
+        return t[()]
+
     return SmoothLink(
         name="tanh",
-        h=np.tanh,
-        h_prime=lambda x: 1.0 / np.cosh(np.asarray(x, dtype=float)) ** 2,
-        h_second=lambda x: -2.0 * np.tanh(np.asarray(x, dtype=float))
-        / np.cosh(np.asarray(x, dtype=float)) ** 2,
+        h=np.tanh, h_prime=h_prime, h_second=h_second,
         h_prime_at_0=1.0,
     )
 
@@ -75,11 +93,24 @@ def affine_sin_link(a: float, b: float) -> SmoothLink:
     # a * x keeps only a few bits when a is subnormal, whatever the scaling
     if any(0.0 < abs(c) < np.finfo(float).tiny for c in (a, b)):
         raise InvalidInput("affine_sin coefficients must be 0 or normal floats")
+
+    def h_prime(x):
+        # a + b cos(x)
+        c = scratch_ufunc(np.cos, x)
+        c *= b
+        c += a
+        return c[()]
+
+    def h_second(x):
+        # -b sin(x)
+        s = scratch_ufunc(np.sin, x)
+        s *= -b
+        return s[()]
+
     return SmoothLink(
         name=f"affine_sin({a:g},{b:g})",
         h=lambda x: a * np.asarray(x, dtype=float) + b * np.sin(np.asarray(x, dtype=float)),
-        h_prime=lambda x: a + b * np.cos(np.asarray(x, dtype=float)),
-        h_second=lambda x: -b * np.sin(np.asarray(x, dtype=float)),
+        h_prime=h_prime, h_second=h_second,
         h_prime_at_0=a + b,
     )
 
@@ -156,44 +187,88 @@ class SampleMeanModel:
         readout, finished at its own ``n``.
 
         ``columns`` yields one length-m column per coordinate, in order
-        0..n-1.  Each is folded into the running sums ``(Σx_k, Στ_k,
-        Στ'_k·τ_k)`` and dropped, so the (m, n) block of draws and its
-        kernels are never held; starting at 0.0 and adding in coordinate
-        order is numpy's axis-0 reduction of the block, to the bit.
+        0..n-1.  Each is folded into the running sum ``Σx_k`` and into its
+        kernel kind's ``(Στ_k, Στ'_k·τ_k)``, then dropped, so the (m, n)
+        block of draws and its kernels are never held.  A kind is a
+        Pearson pair ``(b, c)``: a curved kernel (``c != 0``) folds ``τ``
+        and ``τ'·τ``; an affine one folds only ``τ``, and its ``Στ'τ`` is
+        ``b·Στ``; a constant one evaluates no kernel, and its ``Στ`` is its
+        column count.  Starting at 0.0 and adding in coordinate order is
+        numpy's axis-0 reduction of the block, to the bit; a model of
+        several kinds adds their sums at each readout.
         """
         models = readout_models(self, readouts)
         samples = [None] * len(models)
-        x_sum = tau_sum = tt_sum = 0.0
+        x_sum = 0.0
+        kinds = {}  # Pearson pair -> [Στ, Στ'τ] of its columns so far
         # one flat zip: enumerate over a zip would keep a spent column alive
         for k, dist, col in zip(range(1, self.n + 1), self.dists, columns):
-            tau = dist.tau(col)
             x_sum += col
-            tau_sum += tau
-            tt_sum += dist.tau_prime(col) * tau
+            b, c = pair = dist.kernel_form.pearson
+            sums = kinds.setdefault(pair, [0.0, 0.0])
+            if c != 0.0:
+                tau = dist.tau(col)
+                sums[0] += tau
+                sums[1] += dist.tau_prime(col) * tau
+            elif b != 0.0:
+                sums[0] += dist.tau(col)
+            else:
+                sums[0] += 1.0
             for i, r in enumerate(models):
                 if r.n == k:
-                    samples[i] = r.finish(x_sum, tau_sum, tt_sum)
+                    samples[i] = r.finish(x_sum, *_kernel_sums(kinds))
         return samples[0] if readouts is None else samples
 
     def finish(self, x_sum, tau_sum, tt_sum) -> ScoreSample:
         """Score-pair arrays from the running sums of :meth:`reduce_columns`
-        over this model's ``n`` coordinates."""
+        over this model's ``n`` coordinates, which it does not write.  Each
+        term is built in one array of its own, in the operation order of the
+        formula in its comment."""
         link = self.link
         n = self.n
         sigma = self.sigma
+        s2 = sigma ** 2
         sqrt_n = math.sqrt(n)
+        hp0 = link.h_prime_at_0
         xbar = x_sum / n
         taubar = tau_sum / n
-        hp0 = link.h_prime_at_0
-        hp = link.h_prime(xbar)
-        f = sqrt_n * (link.h(xbar) - self.mu_h) / sigma
-        g_sum = hp0 * sqrt_n * xbar / sigma
-        nabla = hp0 * hp * taubar / sigma ** 2
-        # sum_k (d_k nabla) L_k g_k with L_k g_k = hp0 tau_k / (sigma sqrt(n))
-        d_common = hp0 * link.h_second(xbar) * taubar / n / sigma ** 2
-        second = d_common * tau_sum + (hp0 * hp / n / sigma ** 2) * tt_sum
-        second = second * hp0 / (sigma * sqrt_n)
+        # f = sqrt(n) (H(xbar) - mu_h) / sigma
+        f = link.h(xbar) - self.mu_h
+        f *= sqrt_n
+        f /= sigma
+        # nabla = hp0 H'(xbar) taubar / sigma^2
+        hp = hp0 * link.h_prime(xbar)
+        nabla = hp * taubar
+        nabla /= s2
+        # sum_k (d_k nabla) L_k g_k with L_k g_k = hp0 tau_k / (sigma sqrt(n)):
+        # (hp0 H'' taubar / n / sigma^2 Στ + hp0 H' / n / sigma^2 Στ'τ) hp0
+        # / (sigma sqrt(n))
+        second = hp0 * link.h_second(xbar)
+        second *= taubar
+        second /= n
+        second /= s2
+        second *= tau_sum
+        hp /= n
+        hp /= s2
+        hp *= tt_sum
+        second += hp
+        second *= hp0
+        second /= sigma * sqrt_n
+        # g_sum = hp0 sqrt(n) xbar / sigma, in xbar, which is read no further
+        g_sum = np.multiply(xbar, hp0 * sqrt_n, out=xbar)
+        g_sum /= sigma
         return ScoreSample.represent(f, g_sum, nabla, second)
+
+
+def _kernel_sums(kinds):
+    """``(Στ, Στ'τ)`` over every kind's columns, from the per-kind sums of
+    :meth:`SampleMeanModel.reduce_columns`; a lone kind's are its own."""
+    (tau_sum, tt_sum), *rest = [(st, stt if c != 0.0 else b * st)
+                                for (b, c), (st, stt) in kinds.items()]
+    for st, stt in rest:
+        tau_sum = tau_sum + st
+        tt_sum = tt_sum + stt
+    return tau_sum, tt_sum
 
 
 def pre_pass(link: SmoothLink, dists, n: int, reps: int, stream):
@@ -202,9 +277,16 @@ def pre_pass(link: SmoothLink, dists, n: int, reps: int, stream):
     reps = draw_count(reps)
     if reps < 10 ** 4:
         raise InvalidInput("pre_pass needs at least 1e4 replications")
-    # Each coordinate column is added and dropped as it is drawn.
-    hv = np.concatenate([link.h(sum(dist.sampler(stream, m) for dist in dists) / n)
-                         for m in chunk_sizes(reps, 65536)])
+
+    def mean_link(m):
+        # Each coordinate column is added and dropped as it is drawn.
+        total = np.zeros(m)
+        for dist in dists:
+            total += dist.sampler(stream, m)
+        total /= n
+        return link.h(total)
+
+    hv = np.concatenate([mean_link(m) for m in chunk_sizes(reps, 65536)])
     # A huge link overflows these moments to inf, which the check below
     # turns into DegenerateVariance.
     with np.errstate(over="ignore"):

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -456,6 +457,26 @@ def test_runs_without_student_t_load_no_scipy(tmp_path):
     codes, loaded = json.loads(out)
     assert codes == [0] * len(SCIPY_FREE_RUNS)
     assert loaded == []
+
+
+def test_out_of_memory_exits_3_without_a_traceback(tmp_path):
+    # n = 8192 needs a dense 512 MiB coefficient matrix, which does not fit
+    # under a 1.5 GB address-space limit on the child process.
+    src = str(Path(steinfisher.__file__).resolve().parents[1])
+    code = ("import resource, sys; limit = 3 * 2 ** 29; "
+            "resource.setrlimit(resource.RLIMIT_AS, (limit, limit)); "
+            "sys.path.insert(0, sys.argv[1]); "
+            "from steinfisher.cli import main; sys.exit(main(sys.argv[2:]))")
+    argv = ["run", "--experiment", "quadform_rate", "--dist", "uniform",
+            "--n-grid", "8192", "--reps", "1000", "--out-path", "o.csv"]
+    proc = subprocess.run([sys.executable, "-c", code, src, *argv],
+                          cwd=tmp_path, capture_output=True, text=True,
+                          env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    error = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert error["error"] == "memory" and "allocate" in error["detail"]
+    assert not (tmp_path / "o.csv").exists()
 
 
 @pytest.mark.parametrize("dist", ["student_t(3e5)", "student_t(1e6)",

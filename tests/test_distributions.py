@@ -107,6 +107,39 @@ def test_pearson_ode(catalog_dist):
     assert np.max(np.abs(lhs + (xs + d.tau_prime(xs)) / tau)) <= 1e-6
     quadratic = np.polynomial.Polynomial.fit(xs, tau, 2)
     assert np.max(np.abs(quadratic(xs) - tau)) <= 1e-10
+    # the stored Pearson pair is that quadratic: tau = 1 + b x + c (x^2 - 1),
+    # within 4 ulp of its largest term
+    b, c = d.kernel_form.pearson
+    pearson = 1.0 + b * xs + c * (xs * xs - 1.0)
+    scale = 1.0 + abs(b) * np.abs(xs) + abs(c) * (xs * xs + 1.0)
+    assert np.all(np.abs(pearson - tau) <= 4 * np.spacing(scale))
+    slope = abs(b) + 2.0 * abs(c) * np.abs(xs)
+    assert np.all(np.abs(b + 2.0 * c * xs - d.tau_prime(xs))
+                  <= 4 * np.spacing(slope))
+
+
+# Each sampler's closed form, as a fresh expression of the stream's draws
+SAMPLER_FORMS = {
+    "uniform": lambda s, size: -SQRT3 + (SQRT3 - -SQRT3) * s.random(size),
+    "exponential_centered":
+        lambda s, size: -np.log1p(-s.random(size)) - 1.0,
+    "student_t(20)": lambda s, size: s.standard_normal(size) * np.sqrt(
+        (20.0 - 2.0) / s.chisquare(20.0, size)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLER_FORMS))
+def test_sampler_is_its_closed_form_to_the_bit(name):
+    # The samplers work in the generator's buffer; the draws keep the bits
+    # of the closed form, and a draw of size None stays a scalar.
+    d, form = catalog_get(name), SAMPLER_FORMS[name]
+    for size in (1000, (3, 257), None):
+        got = d.sampler(substream(14, "pin", name), size)
+        want = form(substream(14, "pin", name), size)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    scalar = d.sampler(substream(14, "pin", name))
+    assert np.isscalar(scalar) and isinstance(scalar, float)
 
 
 def test_sample_columns_is_deterministic():
