@@ -32,7 +32,7 @@ class CoefficientMatrix:
     """
 
     def __init__(self, entries):
-        a = np.array(entries, dtype=float)
+        a = np.asarray(entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise InvalidInput("coefficient matrix must be square")
         upper = np.triu(a, 1)
@@ -51,9 +51,12 @@ def banded_coefficients(n: int, bandwidth: int = 1) -> CoefficientMatrix:
     the form has unit variance; the default family for rate experiments."""
     if n < 2 or bandwidth < 1:
         raise InvalidInput("banded family needs n >= 2 and bandwidth >= 1")
-    offset = np.arange(n)[None, :] - np.arange(n)[:, None]
-    band = (offset >= 1) & (offset <= bandwidth)
-    return CoefficientMatrix(band / math.sqrt(band.sum()))
+    diagonals = range(1, min(bandwidth, n - 1) + 1)
+    value = 1.0 / math.sqrt(sum(n - k for k in diagonals))
+    band, index = np.zeros((n, n)), np.arange(n)
+    for k in diagonals:
+        band[index[:-k], index[k:]] = value
+    return CoefficientMatrix(band)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ exposes the classic score-sum representation for comparison.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -25,64 +26,52 @@ from .estimate import ScoreSample, readout_models, reduce_draw
 
 @dataclass(frozen=True)
 class SmoothLink:
-    """Twice differentiable link with bounded derivatives and H'(0) != 0."""
+    """Twice differentiable link with bounded derivatives and H'(0) != 0.
+
+    ``jet(x)`` returns ``(H(x), H'(x), H''(x))`` for a float or an array,
+    computing each transcendental once.  Each value is a new array the
+    caller may write, except that the identity's ``H`` is its input.
+    """
 
     name: str
-    h: Callable
-    h_prime: Callable
-    h_second: Callable
-    h_prime_at_0: float
+    jet: Callable
 
     def __post_init__(self):
         if self.h_prime_at_0 == 0.0:
             raise InvalidInput("links must have a nonzero derivative at zero")
 
+    @functools.cached_property
+    def h_prime_at_0(self) -> float:
+        return float(self.jet(0.0)[1])
+
 
 def identity_link() -> SmoothLink:
-    return SmoothLink(
-        name="identity",
-        h=lambda x: np.asarray(x, dtype=float),
-        h_prime=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        h_second=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        h_prime_at_0=1.0,
-    )
+    def jet(x):
+        x = np.asarray(x, dtype=float)
+        return x, np.ones_like(x), np.zeros_like(x)
+
+    return SmoothLink("identity", jet)
 
 
 def sin_link() -> SmoothLink:
-    def h_second(x):
-        s = scratch_ufunc(np.sin, x)
-        np.negative(s, out=s)
-        return s[()]
+    def jet(x):
+        s = np.sin(x)
+        return s, np.cos(x), np.negative(s)
 
-    return SmoothLink(
-        name="sin",
-        h=np.sin, h_prime=np.cos, h_second=h_second,
-        h_prime_at_0=1.0,
-    )
+    return SmoothLink("sin", jet)
 
 
 def tanh_link() -> SmoothLink:
-    def h_prime(x):
-        # 1 / cosh(x)^2
+    def jet(x):
+        # tanh(x), 1 / cosh(x)^2, -2 tanh(x) / cosh(x)^2
+        t = np.tanh(x)
         c = scratch_ufunc(np.cosh, x)
         np.square(c, out=c)
-        np.divide(1.0, c, out=c)
-        return c[()]
+        second = t * -2.0
+        second /= c
+        return t, np.divide(1.0, c, out=c)[()], second
 
-    def h_second(x):
-        # -2 tanh(x) / cosh(x)^2
-        t = scratch_ufunc(np.tanh, x)
-        t *= -2.0
-        c = scratch_ufunc(np.cosh, x)
-        np.square(c, out=c)
-        t /= c
-        return t[()]
-
-    return SmoothLink(
-        name="tanh",
-        h=np.tanh, h_prime=h_prime, h_second=h_second,
-        h_prime_at_0=1.0,
-    )
+    return SmoothLink("tanh", jet)
 
 
 def affine_sin_link(a: float, b: float) -> SmoothLink:
@@ -94,25 +83,17 @@ def affine_sin_link(a: float, b: float) -> SmoothLink:
     if any(0.0 < abs(c) < np.finfo(float).tiny for c in (a, b)):
         raise InvalidInput("affine_sin coefficients must be 0 or normal floats")
 
-    def h_prime(x):
-        # a + b cos(x)
-        c = scratch_ufunc(np.cos, x)
-        c *= b
-        c += a
-        return c[()]
+    def jet(x):
+        # a x + b sin(x), b cos(x) + a, -b sin(x)
+        x = np.asarray(x, dtype=float)
+        s = np.sin(x)
+        h = a * x
+        h += b * s
+        hp = b * np.cos(x)
+        hp += a
+        return h, hp, s * -b
 
-    def h_second(x):
-        # -b sin(x)
-        s = scratch_ufunc(np.sin, x)
-        s *= -b
-        return s[()]
-
-    return SmoothLink(
-        name=f"affine_sin({a:g},{b:g})",
-        h=lambda x: a * np.asarray(x, dtype=float) + b * np.sin(np.asarray(x, dtype=float)),
-        h_prime=h_prime, h_second=h_second,
-        h_prime_at_0=a + b,
-    )
+    return SmoothLink(f"affine_sin({a:g},{b:g})", jet)
 
 
 def _unit_scaled(link: SmoothLink) -> SmoothLink:
@@ -122,18 +103,15 @@ def _unit_scaled(link: SmoothLink) -> SmoothLink:
     multiplies exactly, so a link with ``H'(0)`` of order one gives the same
     bits either way, while tiny or huge coefficients come to unit scale,
     where ``hp0 * hp`` and ``sigma ** 2`` neither underflow nor overflow.
+    The scaled jet returns three new arrays, whatever ``link``'s returns.
     """
     frac, exp = math.frexp(abs(link.h_prime_at_0))
     k = -exp if frac > math.sqrt(0.5) else 1 - exp
     if k == 0:
         return link
-    return SmoothLink(
-        name=link.name,
-        h=lambda x: np.ldexp(link.h(x), k),
-        h_prime=lambda x: np.ldexp(link.h_prime(x), k),
-        h_second=lambda x: np.ldexp(link.h_second(x), k),
-        h_prime_at_0=math.ldexp(link.h_prime_at_0, k),
-    )
+    jet = link.jet
+    return SmoothLink(link.name,
+                      lambda x: tuple(np.ldexp(v, k) for v in jet(x)))
 
 
 _AFFINE_RE = re.compile(r"^affine_sin\(\s*([-+0-9.eE]+)\s*,\s*([-+0-9.eE]+)\s*\)$")
@@ -232,18 +210,19 @@ class SampleMeanModel:
         hp0 = link.h_prime_at_0
         xbar = x_sum / n
         taubar = tau_sum / n
+        h, hp, second = link.jet(xbar)
         # f = sqrt(n) (H(xbar) - mu_h) / sigma
-        f = link.h(xbar) - self.mu_h
+        f = h - self.mu_h
         f *= sqrt_n
         f /= sigma
         # nabla = hp0 H'(xbar) taubar / sigma^2
-        hp = hp0 * link.h_prime(xbar)
+        hp *= hp0
         nabla = hp * taubar
         nabla /= s2
         # sum_k (d_k nabla) L_k g_k with L_k g_k = hp0 tau_k / (sigma sqrt(n)):
         # (hp0 H'' taubar / n / sigma^2 Στ + hp0 H' / n / sigma^2 Στ'τ) hp0
         # / (sigma sqrt(n))
-        second = hp0 * link.h_second(xbar)
+        second *= hp0
         second *= taubar
         second /= n
         second /= s2
@@ -284,7 +263,7 @@ def pre_pass(link: SmoothLink, dists, n: int, reps: int, stream):
         for dist in dists:
             total += dist.sampler(stream, m)
         total /= n
-        return link.h(total)
+        return link.jet(total)[0]
 
     hv = np.concatenate([mean_link(m) for m in chunk_sizes(reps, 65536)])
     # A huge link overflows these moments to inf, which the check below

@@ -76,7 +76,8 @@ PRECONDITIONS = [
     pytest.param(lambda: integrate(lambda x: np.sin(1.0 / x), 1e-6, 1.0,
                                    limit=16),
                  QuadratureFailure, "stalled", id="integrate-stalls"),
-    pytest.param(lambda: SmoothLink("flat", np.sin, np.cos, np.sin, 0.0),
+    pytest.param(lambda: SmoothLink(
+        "flat", lambda x: (np.cos(x), -np.sin(x), -np.cos(x))),
                  InvalidInput, "nonzero derivative", id="link-flat-at-zero"),
     pytest.param(lambda: sample_mean_model(identity_link(), [GAUSSIAN] * 3, 4),
                  InvalidInput, "need 4", id="sample-mean-law-count"),

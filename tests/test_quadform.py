@@ -505,6 +505,30 @@ def test_banded_family_matches_diagonal_fill(n):
             banded_coefficients(*bad)
 
 
+@pytest.mark.parametrize("n,bandwidth", [(2, 1), (5, 3), (8, 1), (37, 2),
+                                         (64, 7), (10, 20)])
+def test_banded_family_matches_offset_mask_construction(n, bandwidth):
+    # reference: the boolean offset mask divided by the root of its count
+    offset = np.arange(n)[None, :] - np.arange(n)[:, None]
+    band = (offset >= 1) & (offset <= bandwidth)
+    want = CoefficientMatrix(band / math.sqrt(band.sum()))
+    got = banded_coefficients(n, bandwidth)
+    assert got.entries.tobytes() == want.entries.tobytes()
+
+
+def test_banded_family_stages_no_extra_dense_copy():
+    n = 1024
+    tracemalloc.start()
+    try:
+        banded_coefficients(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the band, its upper triangle and the symmetric entries: three n x n
+    # float arrays and no staging copy of the band
+    assert peak < 3.5 * 8 * n * n
+
+
 def test_zero_matrix_rejected():
     with pytest.raises(DegenerateModel):
         QuadFormModel(CoefficientMatrix(np.zeros((3, 3))),

@@ -4,12 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from steinfisher import samplemean
 from steinfisher.distributions import (CHUNK, catalog_get, chunk_sizes,
                                        sample_columns)
 from steinfisher.errors import DegenerateVariance, InvalidInput
 from steinfisher.estimate import (ScoreSample, UpperAccumulator,
                                   fisher_distance_upper)
-from steinfisher.samplemean import (SampleMeanModel, affine_sin_link,
+from steinfisher.samplemean import (SampleMeanModel, SmoothLink,
+                                    _unit_scaled, affine_sin_link,
                                     draw_score_pairs_sm,
                                     identity_link, linear_sum_pairs,
                                     link_by_name,
@@ -51,8 +53,9 @@ def test_model_scales_the_link_by_a_power_of_two():
                      (first.aux, sample.aux)):
             assert np.array_equal(a, b)
     # unit links are left as they are
-    assert sample_mean_model(sin_link(), [u] * 8, 8, stream=substream(13, "pp"),
-                             prepass_reps=10 ** 4).link.h is np.sin
+    link = sin_link()
+    assert sample_mean_model(link, [u] * 8, 8, stream=substream(13, "pp"),
+                             prepass_reps=10 ** 4).link is link
 
 
 def test_model_needs_a_coordinate():
@@ -60,11 +63,124 @@ def test_model_needs_a_coordinate():
         sample_mean_model(identity_link(), [])
 
 
-@pytest.mark.parametrize("link_fn", [sin_link, tanh_link,
-                                     lambda: affine_sin_link(1.0, 0.5)])
+def _unit_affine_sin_link():
+    return _unit_scaled(affine_sin_link(2.0 ** -600, 2.0 ** -601))
+
+
+LINKS = {
+    "identity": identity_link,
+    "sin": sin_link,
+    "tanh": tanh_link,
+    "affine_sin(1,0.5)": lambda: affine_sin_link(1.0, 0.5),
+    "unit affine_sin(2**-600,2**-601)": _unit_affine_sin_link,
+}
+
+
+@pytest.mark.parametrize("link_fn", LINKS.values())
 def test_link_derivative_bounds_on_grid(link_fn):
+    # H' and H'' against central differences of H and H' on [-4, 4]
     link = link_fn()
-    assert link.h_prime(0.0) == pytest.approx(link.h_prime_at_0)
+    x = np.linspace(-4.0, 4.0, 161)
+    step = 2.0 ** -16
+    h, hp, h2 = link.jet(x)
+    up, down = link.jet(x + step), link.jet(x - step)
+    for i, d in ((0, hp), (1, h2)):
+        diff = (up[i] - down[i]) / (2.0 * step)
+        assert np.max(np.abs(diff - d)) <= 1e-8
+    assert np.all(np.abs(hp) <= 2.0) and np.all(np.abs(h2) <= 2.0)
+    assert link.h_prime_at_0 == hp[80] and 0.5 < abs(hp[80]) <= 2.0
+
+
+def _tanh_closed_forms(x):
+    # 1 / cosh(x)^2 and -2 tanh(x) / cosh(x)^2, in the operation order of
+    # the separate closed forms each jet must reproduce
+    c = np.cosh(np.asarray(x, dtype=float))
+    c = np.square(c)
+    return np.tanh(x), 1.0 / c, np.tanh(x) * -2.0 / c
+
+
+def _affine_sin_closed_forms(a, b):
+    def closed_forms(x):
+        x = np.asarray(x, dtype=float)
+        return a * x + b * np.sin(x), np.cos(x) * b + a, np.sin(x) * -b
+    return closed_forms
+
+
+def _unit_affine_closed_forms(x):
+    # 2**-600 + 2**-601 = 1.5 * 2**-600, which the model scales by 2**599
+    return tuple(np.ldexp(v, 599)
+                 for v in _affine_sin_closed_forms(2.0 ** -600, 2.0 ** -601)(x))
+
+
+CLOSED_FORMS = {
+    "identity": lambda x: (np.asarray(x, dtype=float),
+                           np.ones_like(np.asarray(x, dtype=float)),
+                           np.zeros_like(np.asarray(x, dtype=float))),
+    "sin": lambda x: (np.sin(x), np.cos(x), -np.sin(x)),
+    "tanh": _tanh_closed_forms,
+    "affine_sin(1,0.5)": _affine_sin_closed_forms(1.0, 0.5),
+    "unit affine_sin(2**-600,2**-601)": _unit_affine_closed_forms,
+}
+
+
+@pytest.mark.parametrize("name", LINKS)
+def test_link_jet_is_the_closed_forms_to_the_bit(name):
+    jet = LINKS[name]().jet
+    tiny = 1e-300
+    points = [np.array([0.0, tiny, -tiny, 1.0, -1.0, 20.0, -20.0, 711.0,
+                        -711.0, np.nan]), np.linspace(-4.0, 4.0, 101),
+              np.asarray(0.5), 0.5]
+    for x in points:
+        with np.errstate(over="ignore"):  # cosh(711) is inf
+            got, want = jet(x), CLOSED_FORMS[name](x)
+        for u, v in zip(got, want, strict=True):
+            assert np.shape(u) == np.shape(v)
+            assert np.asarray(u).tobytes() == np.asarray(v).tobytes()
+    # the identity's H is its input; every other value is a new array
+    x = np.array([0.25, -2.0])
+    h, hp, h2 = jet(x)
+    assert (h is x) == (name == "identity")
+    assert not (np.shares_memory(hp, x) or np.shares_memory(h2, x)
+                or np.shares_memory(hp, h2) or np.shares_memory(h, hp))
+
+
+def test_finish_reads_each_readout_jet_once():
+    u = catalog_get("uniform")
+    calls = []
+    tanh = tanh_link()
+
+    def jet(x):
+        calls.append(np.shape(x))
+        return tanh.jet(x)
+
+    link = SmoothLink("counted", jet)
+    models = [SampleMeanModel(link=link, dists=(u,) * k, mu_h=0.01, sigma=0.9,
+                              pre_pass_se=(0.0, 0.0)) for k in (2, 5, 8)]
+    calls.clear()  # h_prime_at_0 was read when the link was built
+    draw_score_pairs_sm(models[-1], substream(9, "jet"), CHUNK + 7, models)
+    assert calls == [(CHUNK,)] * 3 + [(7,)] * 3
+
+
+def test_tanh_jet_evaluates_tanh_and_cosh_once(monkeypatch):
+    tanh = tanh_link()
+    counts = {"tanh": 0, "cosh": 0}
+
+    class CountingNumpy:
+        def __getattr__(self, attr):
+            fn = getattr(np, attr)
+            if attr not in counts:
+                return fn
+
+            def counted(*args, **kwargs):
+                counts[attr] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+    monkeypatch.setattr(samplemean, "np", CountingNumpy())
+    for x in (np.linspace(-3.0, 3.0, 7), 0.5):
+        counts.update(tanh=0, cosh=0)
+        tanh.jet(x)
+        assert counts == {"tanh": 1, "cosh": 1}
 
 
 @pytest.mark.parametrize("link_fn", [identity_link, sin_link, tanh_link])
@@ -408,8 +524,9 @@ def test_prepass_and_linear_sum_stream_match_block():
     for link in (sin_link(), tanh_link()):
         streamed = pre_pass(link, dists, n, reps, substream(22, "pp"))
         replay = substream(22, "pp")
-        hv = np.concatenate([link.h(sample_columns(dists, replay, m).mean(axis=1))
-                             for m in chunk_sizes(reps, 65536)])
+        hv = np.concatenate([
+            link.jet(sample_columns(dists, replay, m).mean(axis=1))[0]
+            for m in chunk_sizes(reps, 65536)])
         assert streamed[:2] == (float(hv.mean()),
                                 math.sqrt(n * float(hv.var(ddof=1))))
     reps = CHUNK + 999
